@@ -17,8 +17,8 @@ from dataclasses import dataclass, field
 
 from .cliques import max_clique
 from .errors import CompleteGraphError, CounterexampleError, DisconnectedGraphError
-from .graphs import Graph, is_connected, kite, min_degree, vertex_connectivity
-from .spectra import algebraic_connectivity
+from .graphs import Graph, is_connected, min_degree, vertex_connectivity
+from .spectra import BOUND_TOL, EQUALITY_TOL, algebraic_connectivity
 
 __all__ = [
     "BoundsReport",
@@ -29,11 +29,6 @@ __all__ = [
     "sandwich_report",
     "EQUALITY_TOL",
 ]
-
-#: Classification tolerance for "the bound is attained with equality".
-EQUALITY_TOL = 1e-6
-
-_CHAIN_TOL = 1e-8
 
 
 def clique_lower_bound(n: int, alpha: float) -> float:
@@ -69,7 +64,7 @@ def degree_chain(g: Graph) -> tuple[float, int, int, float]:
     nu = vertex_connectivity(g)
     delta = min_degree(g)
     avg = 2 * g.edge_count / g.n
-    if not (alpha <= nu + _CHAIN_TOL and nu <= delta and delta <= avg + _CHAIN_TOL):
+    if not (alpha <= nu + BOUND_TOL and nu <= delta and delta <= avg + BOUND_TOL):
         raise CounterexampleError(
             f"degree chain violated: alpha={alpha}, nu={nu}, delta={delta}, 2e/n={avg}"
         )
@@ -147,14 +142,3 @@ def sandwich_report(g: Graph) -> BoundsReport:
             "upper_equality": abs(upper - omega) <= EQUALITY_TOL,
         },
     )
-
-
-def kite_floor_check(n: int, r: int) -> tuple[float, float]:
-    """(floor, actual alpha) for the kite graph; the floor must not exceed alpha."""
-    floor = kite_alpha_floor(n, r)
-    alpha = algebraic_connectivity(kite(n, r))
-    if floor > alpha + 1e-9:
-        raise CounterexampleError(
-            f"kite alpha floor violated at (n={n}, r={r}): {floor} > {alpha}"
-        )
-    return floor, alpha

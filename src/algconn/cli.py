@@ -30,7 +30,7 @@ from .graphs import (
     theta_kite,
     turan,
 )
-from .spectra import fiedler_vector, eig_sym, laplacian
+from .spectra import BOUND_TOL, fiedler_vector, eig_sym, laplacian
 
 USAGE_ERROR = 2
 COUNTEREXAMPLE = 1
@@ -38,7 +38,7 @@ COUNTEREXAMPLE = 1
 
 @dataclass
 class CliConfig:
-    tolerance: float = 1e-8
+    tolerance: float = BOUND_TOL
     guard: int = scan_mod.DEFAULT_GUARD
     jobs: int | None = None
     format: str = "table"
@@ -215,23 +215,17 @@ def cmd_transform(args, config) -> int:
     return 0
 
 
-def _certificate_exit(cert) -> int:
-    return 0 if cert.ok else COUNTEREXAMPLE
-
-
 def cmd_scan(args, config) -> int:
     common = dict(guard=config.guard, jobs=config.jobs, tol=config.tolerance)
     if args.corpus:
-        common["corpus"] = list(read_corpus(args.corpus, strict=config.strict_g6))
+        common["corpus"] = read_corpus(args.corpus, strict=config.strict_g6)
         common["source"] = f"corpus:{args.corpus}"
-    if args.action == "max":
-        cert = scan_mod.verify_max_theorem(args.a, args.b, **common)
+    if args.action in ("max", "min"):
+        verify = (scan_mod.verify_max_theorem if args.action == "max"
+                  else scan_mod.verify_min_theorem)
+        cert = verify(args.a, args.b, **common)
         _print_certificate(cert, config)
-        return _certificate_exit(cert)
-    if args.action == "min":
-        cert = scan_mod.verify_min_theorem(args.a, args.b, **common)
-        _print_certificate(cert, config)
-        return _certificate_exit(cert)
+        return 0 if cert.ok else COUNTEREXAMPLE
     if args.action == "trend":
         rows = scan_mod.erdos_stone_trend(args.a, args.b)
         for n, ratio in rows:
@@ -266,7 +260,7 @@ def build_parser() -> argparse.ArgumentParser:
         description="Algebraic connectivity vs. clique number: constructions, "
         "spectra, bounds, rewrites, and exhaustive verification.",
     )
-    parser.add_argument("--tolerance", type=float, default=1e-8)
+    parser.add_argument("--tolerance", type=float, default=BOUND_TOL)
     parser.add_argument("--guard", type=int, default=scan_mod.DEFAULT_GUARD,
                         help="largest order the enumerating scans accept (max 9)")
     parser.add_argument("--jobs", type=int, default=None,

@@ -8,7 +8,6 @@ graph6 is handled; sparse6 and digraph6 are out of scope.
 
 from __future__ import annotations
 
-import io
 import os
 
 from .errors import Graph6Error
@@ -133,11 +132,7 @@ def read_corpus(source, strict: bool = True):
         with open(source, "r", encoding="ascii") as handle:
             yield from read_corpus(handle, strict=strict)
         return
-    if isinstance(source, io.TextIOBase) or hasattr(source, "read"):
-        lines = iter(source)
-    else:
-        lines = iter(source)
-    for lineno, raw in enumerate(lines, start=1):
+    for lineno, raw in enumerate(source, start=1):
         if isinstance(raw, bytes):
             raw = raw.decode("ascii", errors="replace")
         stripped = raw.strip()

@@ -2,9 +2,10 @@
 
 The labeled graphs of order n are identified with integer codes 0 ..
 2^(n(n-1)/2) - 1 (one bit per vertex pair, in the same order graph6 uses).
-For each order a table of clique number, algebraic connectivity, and
-connectivity flags is computed once over the whole code space with batched
-numpy kernels, then every scan is a cheap filter over that table.
+A table of clique number, algebraic connectivity, and connectivity flags is
+computed by one chunked, threaded numpy kernel over a code array: the whole
+code space of an order, or the codes of a corpus streamed one graph at a
+time.  Both extremal scans are then the same cheap filter over that table.
 
 Scans emit certificates: the theoretical bound, the scanned extremum, the
 achievers deduplicated up to isomorphism, the characterization verdict, and
@@ -23,22 +24,28 @@ from itertools import combinations
 
 import numpy as np
 
-from .cliques import contains_complete_multipartite, is_kr_free, max_clique
+from .cliques import contains_complete_multipartite, is_kr_free
 from .graph6 import write_graph6
 from .graphs import (
     Graph,
     complement,
     connected_components,
     decode,
+    encode,
     induced_subgraph,
-    is_connected,
     is_isomorphic,
     join,
     kite,
     pair_index,
     turan,
 )
-from .spectra import algebraic_connectivity, lambda_max
+from .spectra import (
+    BOUND_TOL,
+    EQUALITY_TOL,
+    STRICT_TOL,
+    algebraic_connectivity,
+    lambda_max,
+)
 
 __all__ = [
     "GraphTable",
@@ -58,35 +65,39 @@ __all__ = [
 
 DEFAULT_GUARD = 7
 
-#: Verdict tolerance for bound violations.
-BOUND_TOL = 1e-8
-#: Classification tolerance for equality with the extremum.
-EQUALITY_TOL = 1e-6
-
-_CHUNK = 1 << 16
+#: Codes per kernel call, for enumeration and corpus tables alike.
+_CHUNK = 1 << 13
 _TABLE_CACHE: dict[int, "GraphTable"] = {}
 
 
 @dataclass(frozen=True)
 class GraphTable:
-    """Per-code invariants over every labeled graph of one order."""
+    """Per-code invariants over a set of labeled graphs of one order.
+
+    Row i holds the graph with code codes[i]; codes is None for the full
+    enumeration, where row i holds code i.
+    """
 
     n: int
     omega: np.ndarray      # uint8
     alpha: np.ndarray      # float64; exactly 0.0 for disconnected codes
     connected: np.ndarray  # bool
+    codes: np.ndarray | None = None  # int64
 
     @property
     def size(self) -> int:
         return len(self.omega)
+
+    def graph(self, row: int) -> Graph:
+        """The graph in one row of the table."""
+        return decode(self.n, int(row if self.codes is None else self.codes[row]))
 
 
 def _pair_list(n: int) -> list[tuple[int, int]]:
     return [(i, j) for j in range(1, n) for i in range(j)]
 
 
-def _chunk_tables(n: int, start: int, stop: int):
-    codes = np.arange(start, stop, dtype=np.int64)
+def _chunk_tables(n: int, codes: np.ndarray):
     m = len(codes)
     pairs = _pair_list(n)
 
@@ -95,6 +106,7 @@ def _chunk_tables(n: int, start: int, stop: int):
     for idx, (i, j) in enumerate(pairs):
         b = (codes >> idx) & 1
         bf = b.astype(np.float64)
+        # Absent edges get -0.0 (spectra.laplacian: +0.0); LAPACK sees the sign of zero.
         lap[:, i, j] = -bf
         lap[:, j, i] = -bf
         lap[:, i, i] += bf
@@ -124,13 +136,27 @@ def _chunk_tables(n: int, start: int, stop: int):
     return omega, alpha, connected
 
 
-def build_graph_table(n: int, jobs: int | None = None) -> GraphTable:
-    """Compute (or fetch from cache) the full invariant table for order n.
+def _code_tables(n: int, codes: np.ndarray, jobs: int | None):
+    """(omega, alpha, connected) over a code array, in the array's order.
 
-    The code space is split into contiguous chunks handled by a thread pool
-    (the eigenvalue kernel releases the GIL); chunk results are concatenated
-    in range order, so the table is identical regardless of jobs.
+    The codes are split into contiguous chunks handled by a thread pool (the
+    eigenvalue kernel releases the GIL); chunk results are concatenated in
+    order, so the arrays are identical regardless of jobs.
     """
+    # An empty corpus still gets one (empty) chunk, so there is something to concatenate.
+    chunks = [codes[s:s + _CHUNK] for s in range(0, len(codes) or 1, _CHUNK)]
+    if jobs is None:
+        jobs = min(len(chunks), os.cpu_count() or 1)
+    if jobs <= 1 or len(chunks) <= 1:
+        parts = [_chunk_tables(n, c) for c in chunks]
+    else:
+        with ThreadPoolExecutor(max_workers=jobs) as pool:
+            parts = list(pool.map(lambda c: _chunk_tables(n, c), chunks))
+    return tuple(np.concatenate([p[k] for p in parts]) for k in range(3))
+
+
+def build_graph_table(n: int, jobs: int | None = None) -> GraphTable:
+    """Compute (or fetch from cache) the full invariant table for order n."""
     if n < 2:
         raise ValueError(f"table needs order >= 2, got {n}")
     if n > 7:
@@ -141,27 +167,29 @@ def build_graph_table(n: int, jobs: int | None = None) -> GraphTable:
     cached = _TABLE_CACHE.get(n)
     if cached is not None:
         return cached
-    total = 1 << (n * (n - 1) // 2)
-    ranges = [(s, min(s + _CHUNK, total)) for s in range(0, total, _CHUNK)]
-    if jobs is None:
-        jobs = min(len(ranges), os.cpu_count() or 1)
-    if jobs <= 1 or len(ranges) == 1:
-        parts = [_chunk_tables(n, a, b) for a, b in ranges]
-    else:
-        with ThreadPoolExecutor(max_workers=jobs) as pool:
-            parts = list(pool.map(lambda ab: _chunk_tables(n, *ab), ranges))
-    table = GraphTable(
-        n,
-        np.concatenate([p[0] for p in parts]),
-        np.concatenate([p[1] for p in parts]),
-        np.concatenate([p[2] for p in parts]),
-    )
+    codes = np.arange(1 << (n * (n - 1) // 2), dtype=np.int64)
+    table = GraphTable(n, *_code_tables(n, codes, jobs))
     _TABLE_CACHE[n] = table
     return table
 
 
 def clear_table_cache() -> None:
     _TABLE_CACHE.clear()
+
+
+def _corpus_table(corpus, n: int, jobs: int | None) -> GraphTable:
+    """Invariant table over an iterable of order-n graphs, consumed once, rows in order."""
+    if n > 11:
+        raise ValueError(f"corpus order {n} beyond 11: its codes would not fit in 64 bits")
+
+    def checked_codes():
+        for g in corpus:
+            if g.n != n:
+                raise ValueError(f"corpus graph of order {g.n}, expected {n}")
+            yield encode(g)
+
+    codes = np.fromiter(checked_codes(), dtype=np.int64)
+    return GraphTable(n, *_code_tables(n, codes, jobs), codes)
 
 
 def enumerate_graphs(n: int, predicate=None, *, guard: int = DEFAULT_GUARD):
@@ -255,15 +283,57 @@ def _dedup_isomorphic(graphs: list[Graph]) -> list[int]:
     return reps
 
 
-def _scan_corpus(graphs, n: int):
-    omegas, alphas, pool = [], [], []
-    for g in graphs:
-        if g.n != n:
-            raise ValueError(f"corpus graph of order {g.n}, expected {n}")
-        omegas.append(max_clique(g).omega)
-        alphas.append(algebraic_connectivity(g) if g.n >= 2 else 0.0)
-        pool.append(g)
-    return pool, np.array(omegas), np.array(alphas)
+def _scan_input(n: int, guard: int, jobs: int | None, corpus, source: str):
+    """The table a scan filters and the source it reports: enumeration or corpus."""
+    if corpus is not None:
+        return _corpus_table(corpus, n, jobs), source
+    if n > guard:
+        raise ValueError(
+            f"order {n} exceeds the enumeration guard {guard}; supply a corpus"
+        )
+    return build_graph_table(n, jobs=jobs), "enumeration"
+
+
+def _counterexample(g: Graph, reason: str) -> dict:
+    return {"graph6": write_graph6(g), "alpha": algebraic_connectivity(g), "reason": reason}
+
+
+def _extremal_scan(
+    table: GraphTable, r: int, mode: str, *, bound: float, eligible: np.ndarray,
+    beyond: np.ndarray, reason: str, target: Graph, achieves, source: str,
+) -> ExtremalCertificate:
+    """Certificate for one side of an extremal statement over a graph table.
+
+    `eligible` masks the rows the statement covers and `beyond` the rows
+    whose alpha breaks the bound (reported as `reason`).  The extremum of
+    alpha over the eligible rows must equal the bound, attained by `target`;
+    every equality achiever, up to isomorphism, must pass `achieves`.
+    """
+    if not eligible.any():
+        raise ValueError("corpus contained no eligible graphs")
+    alphas = table.alpha[eligible]
+    achieved = float(alphas.max() if mode == "max" else alphas.min())
+    counterexamples = [
+        _counterexample(table.graph(row), reason)
+        for row in np.nonzero(eligible & beyond)[0][:20]
+    ]
+    if abs(achieved - bound) > EQUALITY_TOL:
+        counterexamples.append(
+            {"graph6": write_graph6(target), "alpha": bound, "reason": "extremum-mismatch"}
+        )
+    hit = np.nonzero(eligible & (np.abs(table.alpha - achieved) <= EQUALITY_TOL))[0]
+    achiever_graphs = [table.graph(row) for row in hit]
+    reps = [achiever_graphs[i] for i in _dedup_isomorphic(achiever_graphs)]
+    failing = [g for g in reps if not achieves(g)]
+    counterexamples += [_counterexample(g, "characterization-failed") for g in failing[:20]]
+    return ExtremalCertificate(
+        n=table.n, r=r, mode=mode, bound=bound, achieved=achieved,
+        achievers=[write_graph6(g) for g in reps],
+        characterization_ok=not failing,
+        counterexamples=counterexamples,
+        graphs_scanned=int(eligible.sum()),
+        source=source,
+    )
 
 
 def verify_max_theorem(
@@ -282,80 +352,22 @@ def verify_max_theorem(
     that the equality achievers match the characterization: the Turan graph
     alone when n is 0 or r-1 mod r, otherwise a join of empty parts onto a
     sufficiently connected remainder (see check_join_characterization).
+    With a corpus (an iterable of order-n graphs) only its graphs are scanned.
     """
     if not 2 <= r < n:
         raise ValueError(f"need 2 <= r < n, got r={r}, n={n}")
     bound = float(n - -(n // -r))
-    counterexamples: list[dict] = []
-
-    if corpus is None:
-        if n > guard:
-            raise ValueError(
-                f"order {n} exceeds the enumeration guard {guard}; supply a corpus"
-            )
-        table = build_graph_table(n, jobs=jobs)
-        eligible = table.omega <= r
-        eligible[table.size - 1] = False  # the complete graph (all bits set)
-        alphas = table.alpha
-        scanned = int(eligible.sum())
-        achieved = float(alphas[eligible].max())
-        bad = np.nonzero(eligible & (alphas > bound + tol))[0]
-        hit = np.nonzero(eligible & (np.abs(alphas - achieved) <= EQUALITY_TOL))[0]
-        bad_graphs = [decode(n, int(c)) for c in bad[:20]]
-        achiever_graphs = [decode(n, int(c)) for c in hit]
-        src = "enumeration"
+    target = turan(n, r)
+    if n % r in (0, r - 1):
+        achieves = lambda g: is_isomorphic(g, target)
     else:
-        pool, omegas, alphas = _scan_corpus(corpus, n)
-        eligible = [
-            i for i, g in enumerate(pool) if omegas[i] <= r and not g.is_complete
-        ]
-        if not eligible:
-            raise ValueError("corpus contained no eligible graphs")
-        scanned = len(eligible)
-        achieved = float(max(alphas[i] for i in eligible))
-        bad_graphs = [pool[i] for i in eligible if alphas[i] > bound + tol][:20]
-        achiever_graphs = [
-            pool[i] for i in eligible if abs(alphas[i] - achieved) <= EQUALITY_TOL
-        ]
-        src = source
-
-    for g in bad_graphs:
-        counterexamples.append({
-            "graph6": write_graph6(g),
-            "alpha": algebraic_connectivity(g),
-            "reason": "bound-exceeded",
-        })
-    if abs(achieved - bound) > EQUALITY_TOL:
-        counterexamples.append({
-            "graph6": write_graph6(turan(n, r)),
-            "alpha": bound,
-            "reason": "extremum-mismatch",
-        })
-
-    reps = [achiever_graphs[i] for i in _dedup_isomorphic(achiever_graphs)]
-    t = n % r
-    if t == 0 or t == r - 1:
-        target = turan(n, r)
-        char_ok = all(is_isomorphic(g, target) for g in reps)
-        failing = [g for g in reps if not is_isomorphic(g, target)]
-    else:
-        verdicts = [check_join_characterization(g, n, r)[0] for g in reps]
-        char_ok = all(verdicts)
-        failing = [g for g, v in zip(reps, verdicts) if not v]
-    for g in failing[:20]:
-        counterexamples.append({
-            "graph6": write_graph6(g),
-            "alpha": algebraic_connectivity(g),
-            "reason": "characterization-failed",
-        })
-
-    return ExtremalCertificate(
-        n=n, r=r, mode="max", bound=bound, achieved=achieved,
-        achievers=[write_graph6(g) for g in reps],
-        characterization_ok=char_ok,
-        counterexamples=counterexamples,
-        graphs_scanned=scanned,
-        source=src,
+        achieves = lambda g: check_join_characterization(g, n, r)[0]
+    table, src = _scan_input(n, guard, jobs, corpus, source)
+    # omega <= r < n also excludes the complete graph.
+    return _extremal_scan(
+        table, r, "max", bound=bound, eligible=table.omega <= r,
+        beyond=table.alpha > bound + tol, reason="bound-exceeded",
+        target=target, achieves=achieves, source=src,
     )
 
 
@@ -372,73 +384,18 @@ def verify_min_theorem(
     """Scan every connected labeled graph of order n with clique number exactly r.
 
     Verifies that alpha never drops below the kite graph's value and that
-    every equality achiever is isomorphic to the kite.
+    every equality achiever is isomorphic to the kite.  With a corpus (an
+    iterable of order-n graphs) only its graphs are scanned.
     """
     if not 2 <= r <= n:
         raise ValueError(f"need 2 <= r <= n, got r={r}, n={n}")
     target = kite(n, r)
     bound = algebraic_connectivity(target)
-    counterexamples: list[dict] = []
-
-    if corpus is None:
-        if n > guard:
-            raise ValueError(
-                f"order {n} exceeds the enumeration guard {guard}; supply a corpus"
-            )
-        table = build_graph_table(n, jobs=jobs)
-        eligible = (table.omega == r) & table.connected
-        alphas = table.alpha
-        scanned = int(eligible.sum())
-        achieved = float(alphas[eligible].min())
-        bad = np.nonzero(eligible & (alphas < bound - tol))[0]
-        hit = np.nonzero(eligible & (np.abs(alphas - achieved) <= EQUALITY_TOL))[0]
-        bad_graphs = [decode(n, int(c)) for c in bad[:20]]
-        achiever_graphs = [decode(n, int(c)) for c in hit]
-        src = "enumeration"
-    else:
-        pool, omegas, alphas = _scan_corpus(corpus, n)
-        eligible = [
-            i for i, g in enumerate(pool) if omegas[i] == r and is_connected(g)
-        ]
-        if not eligible:
-            raise ValueError("corpus contained no eligible graphs")
-        scanned = len(eligible)
-        achieved = float(min(alphas[i] for i in eligible))
-        bad_graphs = [pool[i] for i in eligible if alphas[i] < bound - tol][:20]
-        achiever_graphs = [
-            pool[i] for i in eligible if abs(alphas[i] - achieved) <= EQUALITY_TOL
-        ]
-        src = source
-
-    for g in bad_graphs:
-        counterexamples.append({
-            "graph6": write_graph6(g),
-            "alpha": algebraic_connectivity(g),
-            "reason": "bound-undershot",
-        })
-    if abs(achieved - bound) > EQUALITY_TOL:
-        counterexamples.append({
-            "graph6": write_graph6(target),
-            "alpha": bound,
-            "reason": "extremum-mismatch",
-        })
-
-    reps = [achiever_graphs[i] for i in _dedup_isomorphic(achiever_graphs)]
-    failing = [g for g in reps if not is_isomorphic(g, target)]
-    for g in failing[:20]:
-        counterexamples.append({
-            "graph6": write_graph6(g),
-            "alpha": algebraic_connectivity(g),
-            "reason": "characterization-failed",
-        })
-
-    return ExtremalCertificate(
-        n=n, r=r, mode="min", bound=bound, achieved=achieved,
-        achievers=[write_graph6(g) for g in reps],
-        characterization_ok=not failing,
-        counterexamples=counterexamples,
-        graphs_scanned=scanned,
-        source=src,
+    table, src = _scan_input(n, guard, jobs, corpus, source)
+    return _extremal_scan(
+        table, r, "min", bound=bound, eligible=(table.omega == r) & table.connected,
+        beyond=table.alpha < bound - tol, reason="bound-undershot",
+        target=target, achieves=lambda g: is_isomorphic(g, target), source=src,
     )
 
 
@@ -601,12 +558,12 @@ def verify_supersaturation(
 
     if n <= 7:
         table = build_graph_table(n, jobs=jobs)
-        hit = np.nonzero(table.alpha >= threshold - 1e-9)[0]
+        hit = np.nonzero(table.alpha >= threshold - STRICT_TOL)[0]
         qualifying = [decode(n, int(c)) for c in hit]
         examined = table.size
         src = "enumeration"
     elif n <= 9:
-        dcap = max(int(n - threshold - 1 + 1e-9), 0)
+        dcap = max(int(n - threshold - 1 + STRICT_TOL), 0)
         if dcap >= n - 1:
             raise ValueError(
                 f"threshold {threshold} too low to prune order {n}; "
@@ -616,7 +573,7 @@ def verify_supersaturation(
         for comp_g in _bounded_degree_graphs(n, dcap):
             examined += 1
             alpha = n - lambda_max(comp_g)
-            if alpha >= threshold - 1e-9:
+            if alpha >= threshold - STRICT_TOL:
                 qualifying.append(complement(comp_g))
         src = f"pruned-enumeration (complement max degree <= {dcap})"
     else:

@@ -24,9 +24,23 @@ __all__ = [
     "fiedler_vector",
     "lambda_max",
     "complement_alpha_check",
+    "BOUND_TOL",
+    "EQUALITY_TOL",
+    "STRICT_TOL",
     "MULTIPLICITY_TOL",
 ]
 
+# The package's tolerances, each defined once and imported where used.
+
+#: Verdict tolerance for bound violations and eigen residuals; the default
+#: of the CLI's --tolerance.
+BOUND_TOL = 1e-8
+#: Classification tolerance for "the bound or the extremum is attained".
+EQUALITY_TOL = 1e-6
+#: Margin demanded of every strict ">" claim and granted to the
+#: supersaturation threshold; spectra at these orders are separated by far
+#: more, the margin only guards rounding.
+STRICT_TOL = 1e-9
 #: Eigenvalues within this distance of alpha count toward its multiplicity.
 MULTIPLICITY_TOL = 1e-7
 
@@ -73,7 +87,7 @@ def laplacian(g: Graph) -> np.ndarray:
     return out
 
 
-def eig_sym(m: np.ndarray, tol: float = 1e-8) -> Spectrum:
+def eig_sym(m: np.ndarray, tol: float = BOUND_TOL) -> Spectrum:
     """Full eigendecomposition of a symmetric matrix, eigenvalues descending.
 
     Backed by LAPACK via numpy.  The input must be symmetric to within

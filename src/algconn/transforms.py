@@ -29,7 +29,7 @@ from .graphs import (
     tailed_clique,
     theta_kite,
 )
-from .spectra import algebraic_connectivity, fiedler_vector
+from .spectra import STRICT_TOL, algebraic_connectivity, fiedler_vector
 
 __all__ = [
     "TailSpec",
@@ -48,10 +48,6 @@ __all__ = [
     "tailed_clique_sweep",
     "STRICT_TOL",
 ]
-
-#: Margin demanded of every strict ">" claim; spectra at these orders are
-#: separated by far more, the margin only guards rounding.
-STRICT_TOL = 1e-9
 
 
 @dataclass(frozen=True)

@@ -72,7 +72,7 @@ class TestGraphTable:
     def test_jobs_do_not_change_results(self):
         from algconn import scan
 
-        serial = scan._chunk_tables(4, 0, 64)
+        serial = scan._chunk_tables(4, np.arange(64, dtype=np.int64))
         table = build_graph_table(4)
         assert np.array_equal(serial[0], table.omega)
         assert np.allclose(serial[1], table.alpha)
@@ -82,15 +82,21 @@ class TestGraphTable:
         from algconn import scan
 
         reference = build_graph_table(5)
+        corpus = [decode(5, code) for code in range(reference.size)]
+        routes = (
+            lambda jobs: build_graph_table(5, jobs=jobs),
+            lambda jobs: scan._corpus_table(iter(corpus), 5, jobs),
+        )
         monkeypatch.setattr(scan, "_CHUNK", 128)  # force 8 chunks
         scan._TABLE_CACHE.pop(5, None)
         try:
-            for jobs in (1, 4):
-                rebuilt = build_graph_table(5, jobs=jobs)
-                assert np.array_equal(rebuilt.omega, reference.omega)
-                assert np.array_equal(rebuilt.alpha, reference.alpha)
-                assert np.array_equal(rebuilt.connected, reference.connected)
-                scan._TABLE_CACHE.pop(5, None)
+            for route in routes:
+                for jobs in (1, 4):
+                    rebuilt = route(jobs)
+                    assert np.array_equal(rebuilt.omega, reference.omega)
+                    assert np.array_equal(rebuilt.alpha, reference.alpha)
+                    assert np.array_equal(rebuilt.connected, reference.connected)
+                    scan._TABLE_CACHE.pop(5, None)
         finally:
             scan._TABLE_CACHE[5] = reference
 
@@ -163,13 +169,24 @@ class TestMaxTheorem:
         assert a == b
 
     def test_corpus_mode_matches_enumeration(self):
-        corpus = [decode(4, code) for code in range(64)]
-        from_corpus = verify_max_theorem(4, 2, corpus=corpus, source="corpus:test")
-        direct = verify_max_theorem(4, 2)
-        assert from_corpus.ok and direct.ok
-        assert from_corpus.achieved == pytest.approx(direct.achieved, abs=1e-12)
-        assert from_corpus.achievers == direct.achievers
-        assert from_corpus.source == "corpus:test"
+        # Every labeled graph of order n <= 6 fed as a corpus must reproduce
+        # the enumeration certificate exactly, on both sides and for every r.
+        for n in range(2, 7):
+            corpus = [decode(n, code) for code in range(1 << (n * (n - 1) // 2))]
+            cases = [(verify_max_theorem, r) for r in range(2, n)]
+            cases += [(verify_min_theorem, r) for r in range(2, n + 1)]
+            for verify, r in cases:
+                from_corpus = verify(n, r, corpus=iter(corpus), source="corpus:test")
+                direct = verify(n, r)
+                assert from_corpus.source == "corpus:test"
+                from_corpus.source = direct.source
+                assert from_corpus.to_json() == direct.to_json(), (verify.__name__, n, r)
+
+    def test_corpus_input_errors(self):
+        with pytest.raises(ValueError, match="no eligible graphs"):
+            verify_max_theorem(4, 2, corpus=[])
+        with pytest.raises(ValueError, match="order 5, expected 4"):
+            verify_max_theorem(4, 2, corpus=[path(4), turan(5, 2)])
 
 
 class TestMinTheorem:

@@ -260,7 +260,12 @@ def build_parser() -> argparse.ArgumentParser:
         description="Algebraic connectivity vs. clique number: constructions, "
         "spectra, bounds, rewrites, and exhaustive verification.",
     )
-    parser.add_argument("--tolerance", type=float, default=BOUND_TOL)
+    parser.add_argument(
+        "--tolerance", type=float, default=BOUND_TOL,
+        help="slack a checked inequality may miss by before it counts as a failure: "
+        "the max/min bound verdicts, the bounds sandwich and the spectrum residual "
+        "(relative to the matrix norm); supersat uses the fixed STRICT_TOL (1e-9) margin",
+    )
     parser.add_argument("--guard", type=int, default=scan_mod.DEFAULT_GUARD,
                         help="largest order the enumerating scans accept (max 9)")
     parser.add_argument("--jobs", type=int, default=None,

@@ -4,8 +4,10 @@ The labeled graphs of order n are identified with integer codes 0 ..
 2^(n(n-1)/2) - 1 (one bit per vertex pair, in the same order graph6 uses).
 A table of clique number, algebraic connectivity, and connectivity flags is
 computed by one chunked, threaded numpy kernel over a code array: the whole
-code space of an order, or the codes of a corpus streamed one graph at a
-time.  Both extremal scans are then the same cheap filter over that table.
+code space of an order, the codes of a corpus streamed one graph at a time,
+or the pruned supersaturation candidates at orders 8-9 (graphs whose
+complement has bounded maximum degree).  Both extremal scans and the
+supersaturation check are then cheap filters over that table.
 
 Scans emit certificates: the theoretical bound, the scanned extremum, the
 achievers deduplicated up to isomorphism, the characterization verdict, and
@@ -17,6 +19,7 @@ from __future__ import annotations
 
 import json
 import os
+from array import array
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from fractions import Fraction
@@ -44,7 +47,6 @@ from .spectra import (
     EQUALITY_TOL,
     STRICT_TOL,
     algebraic_connectivity,
-    lambda_max,
 )
 
 __all__ = [
@@ -65,8 +67,8 @@ __all__ = [
 
 DEFAULT_GUARD = 7
 
-#: Codes per kernel call, for enumeration and corpus tables alike.
-_CHUNK = 1 << 13
+#: Codes per kernel call; each thread's chunk holds a (_CHUNK, n, n) Laplacian batch.
+_CHUNK = 1 << 12
 _TABLE_CACHE: dict[int, "GraphTable"] = {}
 
 
@@ -496,31 +498,27 @@ class SupersaturationReport:
         return json.dumps(self.to_dict(), indent=2)
 
 
-def _bounded_degree_graphs(n: int, dcap: int):
-    """All labeled graphs of order n with maximum degree <= dcap."""
+def _bounded_degree_codes(n: int, dcap: int) -> np.ndarray:
+    """Codes of all labeled graphs of order n with maximum degree <= dcap."""
     pairs = _pair_list(n)
     deg = [0] * n
-    edges: list[tuple[int, int]] = []
+    codes = array("q")
 
-    def rec(idx: int):
+    def rec(idx: int, code: int):
         if idx == len(pairs):
-            yield Graph.from_edges(n, edges)
+            codes.append(code)
             return
         i, j = pairs[idx]
-        yield from rec(idx + 1)
+        rec(idx + 1, code)
         if deg[i] < dcap and deg[j] < dcap:
             deg[i] += 1
             deg[j] += 1
-            edges.append((i, j))
-            yield from rec(idx + 1)
-            edges.pop()
+            rec(idx + 1, code | 1 << idx)
             deg[i] -= 1
             deg[j] -= 1
 
-    if dcap <= 0:
-        yield Graph(n, (0,) * n)
-    else:
-        yield from rec(0)
+    rec(0, 0)
+    return np.frombuffer(codes, dtype=np.int64)
 
 
 def verify_supersaturation(
@@ -539,7 +537,8 @@ def verify_supersaturation(
     sound prune: alpha(G) = n - lambda_1(complement), and lambda_1 >= max
     degree + 1 for any graph with an edge, so only graphs whose complement
     has max degree <= n - threshold - 1 can qualify.  Those complements are
-    enumerated directly.
+    enumerated as codes and their graphs tabled by the same threaded kernel,
+    so both routes honour jobs and share one filter over a GraphTable.
     """
     if r < 2 or k < 1:
         raise ValueError(f"need r >= 2 and k >= 1, got r={r}, k={k}")
@@ -554,13 +553,9 @@ def verify_supersaturation(
     threshold = n - -(n // -r) + epsilon * n
     parts = [k] * r
     total = 1 << (n * (n - 1) // 2)
-    qualifying: list[Graph] = []
 
     if n <= 7:
         table = build_graph_table(n, jobs=jobs)
-        hit = np.nonzero(table.alpha >= threshold - STRICT_TOL)[0]
-        qualifying = [decode(n, int(c)) for c in hit]
-        examined = table.size
         src = "enumeration"
     elif n <= 9:
         dcap = max(int(n - threshold - 1 + STRICT_TOL), 0)
@@ -569,24 +564,21 @@ def verify_supersaturation(
                 f"threshold {threshold} too low to prune order {n}; "
                 "no exhaustive route available"
             )
-        examined = 0
-        for comp_g in _bounded_degree_graphs(n, dcap):
-            examined += 1
-            alpha = n - lambda_max(comp_g)
-            if alpha >= threshold - STRICT_TOL:
-                qualifying.append(complement(comp_g))
+        codes = (total - 1) ^ _bounded_degree_codes(n, dcap)
+        table = GraphTable(n, *_code_tables(n, codes, jobs), codes)
         src = f"pruned-enumeration (complement max degree <= {dcap})"
     else:
         raise ValueError(f"order {n} beyond the exhaustive range (max 9)")
 
+    hit = np.nonzero(table.alpha >= threshold - STRICT_TOL)[0]
     violations = [
         write_graph6(g)
-        for g in qualifying
+        for g in map(table.graph, hit)
         if g.n < k * r or not contains_complete_multipartite(g, parts)
     ]
     return SupersaturationReport(
         n=n, r=r, k=k, epsilon=epsilon, threshold=threshold, parts=parts,
-        qualifying=len(qualifying), violations=violations,
-        vacuous=not qualifying, graphs_scanned=total,
-        candidates_examined=examined, source=src,
+        qualifying=len(hit), violations=violations,
+        vacuous=len(hit) == 0, graphs_scanned=total,
+        candidates_examined=table.size, source=src,
     )

@@ -294,10 +294,45 @@ class TestSupersaturation:
     def test_pruned_route_order_eight(self):
         rep = verify_supersaturation(8, 2, 2, 0.05, guard=8)
         assert rep.ok
-        assert rep.qualifying > 0
+        assert rep.qualifying == 42_428
         assert "pruned" in rep.source
         assert rep.graphs_scanned == 1 << 28
-        assert rep.candidates_examined < 1 << 20
+        assert rep.candidates_examined == 152_219
+
+    def test_bounded_degree_codes_are_complete(self):
+        from algconn import scan
+        from algconn.graphs import pair_index
+
+        for n in range(1, 7):
+            codes = np.arange(1 << (n * (n - 1) // 2), dtype=np.int64)
+            deg = np.zeros((n, len(codes)), dtype=np.int64)
+            for j in range(1, n):
+                for i in range(j):
+                    bit = (codes >> pair_index(i, j)) & 1
+                    deg[i] += bit
+                    deg[j] += bit
+            for dcap in range(n):
+                pruned = np.sort(scan._bounded_degree_codes(n, dcap))
+                assert np.array_equal(pruned, codes[deg.max(axis=0) <= dcap])
+
+    def test_pruned_route_empty_complement(self):
+        # dcap 0: only the empty complement, i.e. the complete graph, is a candidate.
+        rep = verify_supersaturation(8, 2, 2, 0.3, guard=8)
+        assert rep.ok
+        assert rep.qualifying == rep.candidates_examined == 1
+        assert rep.source.endswith("complement max degree <= 0)")
+
+    def test_pruned_route_order_nine_is_deterministic(self, monkeypatch):
+        from algconn import scan
+
+        monkeypatch.setattr(scan, "_CHUNK", 256)  # force 11 chunks
+        reports = [
+            verify_supersaturation(9, 2, 2, 0.3, guard=9, jobs=jobs) for jobs in (1, 4)
+        ]
+        # Every candidate qualifies, so graphs are decoded from codes above 2^31.
+        assert reports[0].qualifying == reports[0].candidates_examined == 2620
+        assert reports[0].ok
+        assert reports[0].to_json() == reports[1].to_json()
 
     def test_guard_refusal(self):
         with pytest.raises(ValueError):

@@ -7,12 +7,16 @@ computed by one chunked, threaded numpy kernel over a code array: the whole
 code space of an order, the codes of a corpus streamed one graph at a time,
 or the pruned supersaturation candidates at orders 8-9 (graphs whose
 complement has bounded maximum degree).  Both extremal scans and the
-supersaturation check are then cheap filters over that table.
+supersaturation check are then cheap filters over that table.  Code
+2^(n(n-1)/2) - 1 - c is the complement of code c, so an order's table
+eigensolves only the lower half of its codes: alpha of each complement is
+n - lambda_max, since L(G) + L(complement) = nI - J.
 
-Scans emit certificates: the theoretical bound, the scanned extremum, the
-achievers deduplicated up to isomorphism, the characterization verdict, and
-any counterexamples (there must be none).  Certificates are deterministic:
-identical inputs give byte-identical JSON.
+Scans emit certificates: the theoretical bound, the scanned extremum
+(re-solved directly over the achievers), the achievers deduplicated up to
+isomorphism, the characterization verdict, and any counterexamples (there
+must be none).  Certificates are deterministic: identical inputs give
+byte-identical JSON.
 """
 
 from __future__ import annotations
@@ -69,6 +73,8 @@ DEFAULT_GUARD = 7
 
 #: Codes per kernel call; each thread's chunk holds a (_CHUNK, n, n) Laplacian batch.
 _CHUNK = 1 << 12
+#: Most pruned supersaturation candidates tabled at once: as many codes as the n=7 table.
+_MAX_CANDIDATES = 1 << 21
 _TABLE_CACHE: dict[int, "GraphTable"] = {}
 
 
@@ -99,7 +105,11 @@ def _pair_list(n: int) -> list[tuple[int, int]]:
     return [(i, j) for j in range(1, n) for i in range(j)]
 
 
-def _chunk_tables(n: int, codes: np.ndarray):
+def _chunk_tables(n: int, codes: np.ndarray, paired: bool = False):
+    """(omega, alpha, connected) for each code, from one batched eigensolve.
+
+    With paired, the same three arrays follow for each code's complement.
+    """
     m = len(codes)
     pairs = _pair_list(n)
 
@@ -117,48 +127,74 @@ def _chunk_tables(n: int, codes: np.ndarray):
         rows[j] |= b << i
 
     evals = np.linalg.eigvalsh(lap)
-    alpha = evals[:, 1].copy() if n >= 2 else np.zeros(m)
+    sides = [(codes, rows, evals[:, 1].copy() if n >= 2 else np.zeros(m))]
+    if paired:
+        full = (1 << n) - 1
+        comp_rows = [full ^ (1 << v) ^ rows[v] for v in range(n)]
+        sides.append((codes ^ ((1 << len(pairs)) - 1), comp_rows, n - evals[:, -1]))
+    out = []
+    for side_codes, side_rows, alpha in sides:
+        reach = np.ones(m, dtype=np.int64)
+        for _ in range(n - 1):
+            grown = reach
+            for v in range(n):
+                grown = grown | (side_rows[v] * ((reach >> v) & 1))
+            reach = grown
+        connected = reach == (1 << n) - 1
+        alpha[~connected] = 0.0
 
-    reach = np.ones(m, dtype=np.int64)
-    for _ in range(n - 1):
-        grown = reach
-        for v in range(n):
-            grown = grown | (rows[v] * ((reach >> v) & 1))
-        reach = grown
-    connected = reach == (1 << n) - 1
-    alpha[~connected] = 0.0
-
-    omega = np.ones(m, dtype=np.uint8)
-    for size in range(2, n + 1):
-        for subset in combinations(range(n), size):
-            mask = 0
-            for a, b in combinations(subset, 2):
-                mask |= 1 << pair_index(a, b)
-            omega[(codes & mask) == mask] = size
-    return omega, alpha, connected
+        omega = np.ones(m, dtype=np.uint8)
+        for size in range(2, n + 1):
+            for subset in combinations(range(n), size):
+                mask = 0
+                for a, b in combinations(subset, 2):
+                    mask |= 1 << pair_index(a, b)
+                omega[(side_codes & mask) == mask] = size
+        out += [omega, alpha, connected]
+    return tuple(out)
 
 
-def _code_tables(n: int, codes: np.ndarray, jobs: int | None):
+def _code_tables(n: int, codes: np.ndarray, jobs: int | None, paired: bool = False):
     """(omega, alpha, connected) over a code array, in the array's order.
 
     The codes are split into contiguous chunks handled by a thread pool (the
-    eigenvalue kernel releases the GIL); chunk results are concatenated in
-    order, so the arrays are identical regardless of jobs.
+    eigenvalue kernel releases the GIL), each writing its rows in place, so
+    the arrays are identical regardless of jobs.  With paired, codes are the
+    lower half of the code space and the arrays cover all of it: a chunk's
+    complement rows fill the same slice of the reversed arrays.
     """
-    # An empty corpus still gets one (empty) chunk, so there is something to concatenate.
-    chunks = [codes[s:s + _CHUNK] for s in range(0, len(codes) or 1, _CHUNK)]
+    size = len(codes) * (2 if paired else 1)
+    table = (np.empty(size, np.uint8), np.empty(size), np.empty(size, bool))
+    targets = [table]
+    if paired:
+        targets.append([a[::-1] for a in table])
+
+    def fill(start: int) -> None:
+        chunk = codes[start:start + _CHUNK]
+        parts = _chunk_tables(n, chunk, paired)
+        for k, target in enumerate(targets):
+            for dest, part in zip(target, parts[3 * k:3 * k + 3]):
+                dest[start:start + len(chunk)] = part
+
+    starts = range(0, len(codes), _CHUNK)
     if jobs is None:
-        jobs = min(len(chunks), os.cpu_count() or 1)
-    if jobs <= 1 or len(chunks) <= 1:
-        parts = [_chunk_tables(n, c) for c in chunks]
+        jobs = min(len(starts), os.cpu_count() or 1)
+    if jobs <= 1 or len(starts) <= 1:
+        for start in starts:
+            fill(start)
     else:
         with ThreadPoolExecutor(max_workers=jobs) as pool:
-            parts = list(pool.map(lambda c: _chunk_tables(n, c), chunks))
-    return tuple(np.concatenate([p[k] for p in parts]) for k in range(3))
+            list(pool.map(fill, starts))
+    return table
 
 
 def build_graph_table(n: int, jobs: int | None = None) -> GraphTable:
-    """Compute (or fetch from cache) the full invariant table for order n."""
+    """Compute (or fetch from cache) the full invariant table for order n.
+
+    Only the lower half of the code space is eigensolved; each solve also
+    gives the complementary code's row, whose alpha (n - lambda_max) can
+    differ from a direct solve in the last bits (about 1e-14).
+    """
     if n < 2:
         raise ValueError(f"table needs order >= 2, got {n}")
     if n > 7:
@@ -169,8 +205,8 @@ def build_graph_table(n: int, jobs: int | None = None) -> GraphTable:
     cached = _TABLE_CACHE.get(n)
     if cached is not None:
         return cached
-    codes = np.arange(1 << (n * (n - 1) // 2), dtype=np.int64)
-    table = GraphTable(n, *_code_tables(n, codes, jobs))
+    half = np.arange(1 << (n * (n - 1) // 2 - 1), dtype=np.int64)
+    table = GraphTable(n, *_code_tables(n, half, jobs, paired=True))
     _TABLE_CACHE[n] = table
     return table
 
@@ -310,11 +346,17 @@ def _extremal_scan(
     whose alpha breaks the bound (reported as `reason`).  The extremum of
     alpha over the eligible rows must equal the bound, attained by `target`;
     every equality achiever, up to isomorphism, must pass `achieves`.
+    The achievers (eligible rows within EQUALITY_TOL of the extremum) are
+    solved again directly for `achieved`, so it does not depend on which
+    half of a paired table they sit in.
     """
     if not eligible.any():
         raise ValueError("corpus contained no eligible graphs")
     alphas = table.alpha[eligible]
-    achieved = float(alphas.max() if mode == "max" else alphas.min())
+    extremum = alphas.max() if mode == "max" else alphas.min()
+    hit = np.nonzero(eligible & (np.abs(table.alpha - extremum) <= EQUALITY_TOL))[0]
+    exact = _chunk_tables(table.n, hit if table.codes is None else table.codes[hit])[1]
+    achieved = float(exact.max() if mode == "max" else exact.min())
     counterexamples = [
         _counterexample(table.graph(row), reason)
         for row in np.nonzero(eligible & beyond)[0][:20]
@@ -323,7 +365,6 @@ def _extremal_scan(
         counterexamples.append(
             {"graph6": write_graph6(target), "alpha": bound, "reason": "extremum-mismatch"}
         )
-    hit = np.nonzero(eligible & (np.abs(table.alpha - achieved) <= EQUALITY_TOL))[0]
     achiever_graphs = [table.graph(row) for row in hit]
     reps = [achiever_graphs[i] for i in _dedup_isomorphic(achiever_graphs)]
     failing = [g for g in reps if not achieves(g)]
@@ -499,13 +540,21 @@ class SupersaturationReport:
 
 
 def _bounded_degree_codes(n: int, dcap: int) -> np.ndarray:
-    """Codes of all labeled graphs of order n with maximum degree <= dcap."""
+    """Codes of all labeled graphs of order n with maximum degree <= dcap.
+
+    More than _MAX_CANDIDATES of them are refused with a ValueError.
+    """
     pairs = _pair_list(n)
     deg = [0] * n
     codes = array("q")
 
     def rec(idx: int, code: int):
         if idx == len(pairs):
+            if len(codes) == _MAX_CANDIDATES:
+                raise ValueError(
+                    f"more than {_MAX_CANDIDATES:,} candidates at order {n} with "
+                    f"complement max degree <= {dcap}; raise epsilon to prune harder"
+                )
             codes.append(code)
             return
         i, j = pairs[idx]

@@ -79,6 +79,9 @@ class TestGraphTable:
         assert np.array_equal(serial[2], table.connected)
 
     def test_chunked_parallel_merge_is_deterministic(self, monkeypatch):
+        # Within a route, jobs and chunk size leave every array unchanged.
+        # The enumeration route takes the upper half of its alphas from the
+        # complement's lambda_max, so across routes alpha agrees only closely.
         from algconn import scan
 
         reference = build_graph_table(5)
@@ -87,18 +90,43 @@ class TestGraphTable:
             lambda jobs: build_graph_table(5, jobs=jobs),
             lambda jobs: scan._corpus_table(iter(corpus), 5, jobs),
         )
-        monkeypatch.setattr(scan, "_CHUNK", 128)  # force 8 chunks
-        scan._TABLE_CACHE.pop(5, None)
+        firsts = []
         try:
             for route in routes:
-                for jobs in (1, 4):
-                    rebuilt = route(jobs)
-                    assert np.array_equal(rebuilt.omega, reference.omega)
-                    assert np.array_equal(rebuilt.alpha, reference.alpha)
-                    assert np.array_equal(rebuilt.connected, reference.connected)
-                    scan._TABLE_CACHE.pop(5, None)
+                built = []
+                # One chunk, then chunks of 100 with a ragged last one (12 or 24 codes).
+                for chunk in (scan._CHUNK, 100):
+                    monkeypatch.setattr(scan, "_CHUNK", chunk)
+                    for jobs in (1, 4):
+                        scan._TABLE_CACHE.pop(5, None)
+                        built.append(route(jobs))
+                for rebuilt in built[1:]:
+                    assert np.array_equal(rebuilt.omega, built[0].omega)
+                    assert np.array_equal(rebuilt.alpha, built[0].alpha)
+                    assert np.array_equal(rebuilt.connected, built[0].connected)
+                firsts.append(built[0])
         finally:
             scan._TABLE_CACHE[5] = reference
+        enumerated, from_corpus = firsts
+        assert np.array_equal(enumerated.alpha, reference.alpha)
+        assert np.array_equal(enumerated.omega, from_corpus.omega)
+        assert np.array_equal(enumerated.connected, from_corpus.connected)
+        assert np.abs(enumerated.alpha - from_corpus.alpha).max() <= 1e-13
+
+    def test_paired_table_matches_direct_kernel(self):
+        from algconn import scan
+
+        for n in range(2, 7):
+            table = build_graph_table(n)
+            total = 1 << (n * (n - 1) // 2)
+            omega, alpha, connected = scan._chunk_tables(n, np.arange(total, dtype=np.int64))
+            half = total // 2
+            assert np.array_equal(table.omega, omega)
+            assert np.array_equal(table.connected, connected)
+            assert table.alpha[:half].tobytes() == alpha[:half].tobytes()
+            assert np.abs(table.alpha[half:] - alpha[half:]).max() <= 1e-13
+            disconnected = table.alpha[~table.connected]
+            assert disconnected.tobytes() == np.zeros_like(disconnected).tobytes()
 
 
 class TestMaxTheorem:
@@ -333,6 +361,11 @@ class TestSupersaturation:
         assert reports[0].qualifying == reports[0].candidates_examined == 2620
         assert reports[0].ok
         assert reports[0].to_json() == reports[1].to_json()
+
+    def test_pruned_route_refuses_too_many_candidates(self):
+        # Any epsilon below 1/9 prunes order 9 only to complement max degree 3.
+        with pytest.raises(ValueError, match=r"more than 2,097,152 candidates .* <= 3;"):
+            verify_supersaturation(9, 2, 2, 0.05, guard=9)
 
     def test_guard_refusal(self):
         with pytest.raises(ValueError):

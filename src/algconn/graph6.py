@@ -1,9 +1,11 @@
 """graph6 text format: bit-exact reader and writer for simple graphs.
 
 One graph per line, printable bytes 63..126, optional ">>graph6<<" header.
-Adjacency bits run over the upper triangle in column-major order, six bits
-per byte (most significant first), each byte offset by 63.  Only plain
-graph6 is handled; sparse6 and digraph6 are out of scope.
+A record is an order prefix followed by the bits of the graph's integer code
+(graphs.encode), bit 0 first, six bits per byte (most significant first),
+zero-padded and each byte offset by 63.  The pair order lives in
+graphs.pair_index; this module only frames codes.  Only plain graph6 is
+handled; sparse6 and digraph6 are out of scope.
 """
 
 from __future__ import annotations
@@ -11,7 +13,7 @@ from __future__ import annotations
 import os
 
 from .errors import Graph6Error
-from .graphs import Graph
+from .graphs import Graph, decode, encode
 
 __all__ = ["HEADER", "parse_graph6", "write_graph6", "read_corpus"]
 
@@ -31,19 +33,11 @@ def write_graph6(g: Graph) -> str:
         out = ["~"]
         for shift in (12, 6, 0):
             out.append(chr((n >> shift & 63) + 63))
-    acc = 0
-    nbits = 0
-    for j in range(1, n):
-        col = g.rows[j]
-        for i in range(j):
-            acc = acc << 1 | (col >> i & 1)
-            nbits += 1
-            if nbits == 6:
-                out.append(chr(acc + 63))
-                acc = 0
-                nbits = 0
-    if nbits:
-        out.append(chr((acc << (6 - nbits)) + 63))
+    nbits = n * (n - 1) // 2
+    # Code bits 0 .. nbits-1, bit 0 first (the sentinel bit nbits is cut off).
+    bits = format(encode(g) | 1 << nbits, "b")[:0:-1]
+    bits += "0" * (-nbits % 6)
+    out.extend(chr(int(bits[k:k + 6], 2) + 63) for k in range(0, nbits, 6))
     return "".join(out)
 
 
@@ -51,13 +45,15 @@ def parse_graph6(line, strict: bool = True) -> Graph:
     """Decode one graph6 line (str or bytes); header prefix is accepted.
 
     In strict mode nonzero padding bits are rejected, which catches most
-    forms of corpus corruption early.
+    forms of corpus corruption early.  Error offsets index the record after
+    the header.
     """
     if isinstance(line, bytes):
         try:
             text = line.decode("ascii")
         except UnicodeDecodeError as exc:
-            raise Graph6Error("non-ASCII byte", offset=exc.start) from None
+            skip = len(HEADER) if line.startswith(HEADER.encode()) else 0
+            raise Graph6Error("non-ASCII byte", offset=exc.start - skip) from None
     else:
         text = line
     text = text.rstrip("\r\n")
@@ -77,15 +73,16 @@ def parse_graph6(line, strict: bool = True) -> Graph:
         n = 0
         for ch in text[1:4]:
             n = n << 6 | (ord(ch) - 63)
-        body = text[4:]
+        start = 4
         if n <= 62:
             raise Graph6Error(f"order {n} must use the 1-byte prefix", offset=0)
     else:
         n = ord(text[0]) - 63
-        body = text[1:]
+        start = 1
     if n == 0:
         raise Graph6Error("order 0 not supported", offset=0)
 
+    body = text[start:]
     nbits = n * (n - 1) // 2
     need = (nbits + 5) // 6
     if len(body) < need:
@@ -94,32 +91,16 @@ def parse_graph6(line, strict: bool = True) -> Graph:
             offset=len(text),
         )
     if len(body) > need:
-        raise Graph6Error(f"{len(body) - need} trailing bytes", offset=need)
+        raise Graph6Error(f"{len(body) - need} trailing bytes", offset=start + need)
 
-    rows = [0] * n
-    bit = 0
-    for pos, ch in enumerate(body):
-        val = ord(ch) - 63
-        for k in range(5, -1, -1):
-            if bit >= nbits:
-                if strict and (val >> k & 1):
-                    raise Graph6Error("nonzero padding bits", offset=pos)
-                continue
-            if val >> k & 1:
-                i, j = _pair_at(bit)
-                rows[i] |= 1 << j
-                rows[j] |= 1 << i
-            bit += 1
-    return Graph(n, tuple(rows))
-
-
-def _pair_at(bit: int) -> tuple[int, int]:
-    # Invert column-major upper-triangle indexing: find column j with
-    # j(j-1)/2 <= bit < j(j+1)/2, then i is the remainder.
-    j = 1
-    while j * (j + 1) // 2 <= bit:
-        j += 1
-    return bit - j * (j - 1) // 2, j
+    # graph6 bit b (six per byte, most significant first) is code bit b.
+    stream = "".join(format(ord(ch) - 63, "06b") for ch in body)
+    code = int("0" + stream[::-1], 2)
+    if code >> nbits:
+        if strict:
+            raise Graph6Error("nonzero padding bits", offset=start + need - 1)
+        code &= (1 << nbits) - 1
+    return decode(n, code)
 
 
 def read_corpus(source, strict: bool = True):

@@ -33,6 +33,7 @@ __all__ = [
     "induced_subgraph",
     "relabel",
     "pair_index",
+    "pairs",
     "encode",
     "decode",
     "connected_components",
@@ -329,8 +330,9 @@ def relabel(g: Graph, perm) -> Graph:
 def pair_index(i: int, j: int) -> int:
     """Bit position of pair {i, j} in column-major upper-triangle order.
 
-    The order is (0,1), (0,2), (1,2), (0,3), (1,3), (2,3), ... -- the same
-    order graph6 uses, so code bit b corresponds to graph6 bit b.
+    The order is (0,1), (0,2), (1,2), (0,3), (1,3), (2,3), ...: column j
+    holds the pairs (i, j) with i < j at bits j(j-1)/2 + i.  graph6 writes
+    the bits of a code in this order, so code bit b is graph6 bit b.
     """
     if i == j:
         raise ValueError("no diagonal pairs")
@@ -339,24 +341,31 @@ def pair_index(i: int, j: int) -> int:
     return j * (j - 1) // 2 + i
 
 
+def pairs(n: int) -> list[tuple[int, int]]:
+    """Vertex pairs of order n in code-bit order: pairs(n)[b] is the pair at bit b."""
+    return [(i, j) for j in range(1, n) for i in range(j)]
+
+
 def encode(g: Graph) -> int:
+    """Integer code of g: column j is rows[j] below bit j, at offset j(j-1)/2."""
     code = 0
-    for i, j in g.edges():
-        code |= 1 << pair_index(i, j)
+    for j in range(1, g.n):
+        code |= (g.rows[j] & ((1 << j) - 1)) << (j * (j - 1) // 2)
     return code
 
 
 def decode(n: int, code: int) -> Graph:
+    """Graph of order n with the given integer code, unpacked column by column."""
     if n < 1:
         raise ValueError(f"order must be positive, got {n}")
     if not 0 <= code < 1 << (n * (n - 1) // 2):
         raise ValueError(f"code {code} out of range for order {n}")
     rows = [0] * n
     for j in range(1, n):
-        for i in range(j):
-            if code >> pair_index(i, j) & 1:
-                rows[i] |= 1 << j
-                rows[j] |= 1 << i
+        col = code >> (j * (j - 1) // 2) & ((1 << j) - 1)
+        rows[j] = col
+        for i in _bits(col):
+            rows[i] |= 1 << j
     return Graph(n, tuple(rows))
 
 

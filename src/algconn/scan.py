@@ -1,7 +1,7 @@
 """Exhaustive small-order verification of the extremal statements.
 
 The labeled graphs of order n are identified with integer codes 0 ..
-2^(n(n-1)/2) - 1 (one bit per vertex pair, in the same order graph6 uses).
+2^(n(n-1)/2) - 1 (one bit per vertex pair, in graphs.pair_index order).
 A table of clique number, algebraic connectivity, and connectivity flags is
 computed by one chunked, threaded numpy kernel over a code array: the whole
 code space of an order, the codes of a corpus streamed one graph at a time,
@@ -23,11 +23,10 @@ from __future__ import annotations
 
 import json
 import os
-from array import array
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import combinations
+from itertools import combinations, product
 
 import numpy as np
 
@@ -44,6 +43,7 @@ from .graphs import (
     join,
     kite,
     pair_index,
+    pairs,
     turan,
 )
 from .spectra import (
@@ -101,21 +101,15 @@ class GraphTable:
         return decode(self.n, int(row if self.codes is None else self.codes[row]))
 
 
-def _pair_list(n: int) -> list[tuple[int, int]]:
-    return [(i, j) for j in range(1, n) for i in range(j)]
-
-
 def _chunk_tables(n: int, codes: np.ndarray, paired: bool = False):
     """(omega, alpha, connected) for each code, from one batched eigensolve.
 
     With paired, the same three arrays follow for each code's complement.
     """
     m = len(codes)
-    pairs = _pair_list(n)
-
     lap = np.zeros((m, n, n))
     rows = np.zeros((n, m), dtype=np.int64)
-    for idx, (i, j) in enumerate(pairs):
+    for idx, (i, j) in enumerate(pairs(n)):
         b = (codes >> idx) & 1
         bf = b.astype(np.float64)
         # Absent edges get -0.0 (spectra.laplacian: +0.0); LAPACK sees the sign of zero.
@@ -131,7 +125,7 @@ def _chunk_tables(n: int, codes: np.ndarray, paired: bool = False):
     if paired:
         full = (1 << n) - 1
         comp_rows = [full ^ (1 << v) ^ rows[v] for v in range(n)]
-        sides.append((codes ^ ((1 << len(pairs)) - 1), comp_rows, n - evals[:, -1]))
+        sides.append((codes ^ ((1 << n * (n - 1) // 2) - 1), comp_rows, n - evals[:, -1]))
     out = []
     for side_codes, side_rows, alpha in sides:
         reach = np.ones(m, dtype=np.int64)
@@ -542,32 +536,38 @@ class SupersaturationReport:
 def _bounded_degree_codes(n: int, dcap: int) -> np.ndarray:
     """Codes of all labeled graphs of order n with maximum degree <= dcap.
 
-    More than _MAX_CANDIDATES of them are refused with a ValueError.
+    The codes grow one vertex (one code column) at a time: vertex j joins a
+    set of at most dcap earlier vertices whose degree is still below dcap.
+    Each step is counted before it is built, and a count above
+    _MAX_CANDIDATES is refused with a ValueError: every graph of order j
+    extends to order n by isolated vertices, so the final count is no
+    smaller.  Codes come in depth-first order over the pairs, an absent edge
+    before a present one.
     """
-    pairs = _pair_list(n)
-    deg = [0] * n
-    codes = array("q")
-
-    def rec(idx: int, code: int):
-        if idx == len(pairs):
-            if len(codes) == _MAX_CANDIDATES:
-                raise ValueError(
-                    f"more than {_MAX_CANDIDATES:,} candidates at order {n} with "
-                    f"complement max degree <= {dcap}; raise epsilon to prune harder"
-                )
-            codes.append(code)
-            return
-        i, j = pairs[idx]
-        rec(idx + 1, code)
-        if deg[i] < dcap and deg[j] < dcap:
-            deg[i] += 1
-            deg[j] += 1
-            rec(idx + 1, code | 1 << idx)
-            deg[i] -= 1
-            deg[j] -= 1
-
-    rec(0, 0)
-    return np.frombuffer(codes, dtype=np.int64)
+    codes = np.zeros(1, dtype=np.int64)
+    deg = [np.zeros(1, dtype=np.uint8)]
+    for j in range(1, n):
+        # Columns of at most dcap bits, depth-first (bit 0 decides first).
+        cols = np.array(
+            [sum(b << i for i, b in enumerate(bits))
+             for bits in product((0, 1), repeat=j) if sum(bits) <= dcap],
+            dtype=np.int64,
+        )
+        # fits[a, k]: column k joins only vertices in the open-vertex mask a.
+        fits = (cols & ~np.arange(1 << j)[:, None]) == 0
+        avail = sum((d < dcap).astype(np.int64) << i for i, d in enumerate(deg))
+        if int(fits.sum(axis=1)[avail].sum()) > _MAX_CANDIDATES:
+            raise ValueError(
+                f"more than {_MAX_CANDIDATES:,} candidates at order {n} with "
+                f"complement max degree <= {dcap}; raise epsilon to prune harder"
+            )
+        # Row-major nonzeros: each code's extensions in turn, columns in order.
+        src, pick = np.nonzero(fits[avail])
+        if j < n - 1:
+            bits = [(cols >> i & 1).astype(np.uint8) for i in range(j)]
+            deg = [d[src] + b[pick] for d, b in zip(deg, bits)] + [sum(bits)[pick]]
+        codes = codes[src] | (cols << pair_index(0, j))[pick]
+    return codes
 
 
 def verify_supersaturation(

@@ -5,7 +5,7 @@ import pytest
 
 from algconn.errors import Graph6Error
 from algconn.graph6 import HEADER, parse_graph6, read_corpus, write_graph6
-from algconn.graphs import complete, decode, empty, path
+from algconn.graphs import complete, decode, empty, pair_index, path
 
 
 class TestKnownStrings:
@@ -98,6 +98,27 @@ class TestErrors:
         with pytest.raises(Graph6Error):
             parse_graph6("?")
 
+    @pytest.mark.parametrize(
+        "record, offset",
+        [
+            ("A`", 1),  # padding bit in the body byte, not the order byte
+            ("Bw?", 2),  # the trailing byte follows order byte and one body byte
+            ("D", 1),  # truncation is reported at the end of the record
+            ("B\x1e", 1),
+            ("~??~" + "?" * 325 + "@", 329),  # order 63: 1953 bits, 3 padding bits
+            ("~??~" + "?" * 327, 330),
+            (b"B\xff", 1),
+        ],
+        ids=["padding", "trailing", "truncated", "range", "long-padding",
+             "long-trailing", "non-ascii"],
+    )
+    def test_offsets_index_the_record_after_the_header(self, record, offset):
+        header = HEADER.encode() if isinstance(record, bytes) else HEADER
+        for line in (record, header + record):
+            with pytest.raises(Graph6Error) as exc:
+                parse_graph6(line)
+            assert exc.value.offset == offset
+
 
 class TestCorpus:
     def test_two_line_file(self, tmp_path):
@@ -136,3 +157,23 @@ class TestCorpus:
 
     def test_accepts_iterable_of_lines(self):
         assert list(read_corpus(["Bw", "", "Bg"])) == [complete(3), path(3)]
+
+
+def test_networkx_oracle_agrees_on_bit_order():
+    # Round trips cannot see a bit order that reader and writer share; an
+    # outside writer built from pair_index can.
+    nx = pytest.importorskip("networkx")
+    rng = np.random.default_rng(17)
+    orders = [int(n) for n in rng.integers(1, 14, size=300)] + [63, 64, 100]
+    for n in orders:
+        nbits = n * (n - 1) // 2
+        code = int.from_bytes(rng.bytes(nbits // 8 + 1), "little") % (1 << nbits)
+        h = nx.Graph()
+        h.add_nodes_from(range(n))
+        h.add_edges_from(
+            (i, j) for j in range(n) for i in range(j) if code >> pair_index(i, j) & 1
+        )
+        expected = nx.to_graph6_bytes(h, header=False).decode("ascii").rstrip("\n")
+        assert write_graph6(decode(n, code)) == expected
+        g = parse_graph6(expected)
+        assert set(g.edges()) == {tuple(sorted(e)) for e in h.edges()}

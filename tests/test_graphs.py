@@ -26,6 +26,8 @@ from algconn.graphs import (
     join,
     kite,
     min_degree,
+    pair_index,
+    pairs,
     path,
     relabel,
     star,
@@ -195,6 +197,15 @@ class TestCodes:
     def test_code_bounds(self):
         with pytest.raises(ValueError):
             decode(3, 8)
+
+    def test_code_bit_b_is_pair_b(self):
+        for n in range(1, 12):
+            nbits = n * (n - 1) // 2
+            assert [pair_index(i, j) for i, j in pairs(n)] == list(range(nbits))
+            for b, (i, j) in enumerate(pairs(n)):
+                g = decode(n, 1 << b)
+                assert list(g.edges()) == [(i, j)]
+                assert encode(g) == 1 << b
 
     @given(small_graphs())
     def test_roundtrip_random(self, g):

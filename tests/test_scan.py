@@ -339,9 +339,14 @@ class TestSupersaturation:
                     bit = (codes >> pair_index(i, j)) & 1
                     deg[i] += bit
                     deg[j] += bit
+            # Depth-first order over the pairs: bit 0 decides first, absent before present.
+            nbits = n * (n - 1) // 2
+            walk = sorted(range(len(codes)), key=lambda c: format(c, f"0{nbits}b")[::-1])
             for dcap in range(n):
-                pruned = np.sort(scan._bounded_degree_codes(n, dcap))
-                assert np.array_equal(pruned, codes[deg.max(axis=0) <= dcap])
+                pruned = scan._bounded_degree_codes(n, dcap)
+                assert pruned.dtype == np.int64
+                assert np.array_equal(np.sort(pruned), codes[deg.max(axis=0) <= dcap])
+                assert pruned.tolist() == [c for c in walk if deg[:, c].max() <= dcap]
 
     def test_pruned_route_empty_complement(self):
         # dcap 0: only the empty complement, i.e. the complete graph, is a candidate.

@@ -41,6 +41,7 @@ __all__ = [
     "min_degree",
     "max_degree",
     "vertex_connectivity",
+    "canonical_code",
     "is_isomorphic",
 ]
 
@@ -473,64 +474,66 @@ def _split_flow(g: Graph, s: int, t: int, limit: int) -> int:
 # Isomorphism
 # ---------------------------------------------------------------------------
 
-def _stable_colors(g: Graph) -> tuple[int, ...]:
-    colors = tuple(g.degree(v) for v in range(g.n))
+def _refine(g: Graph, colors) -> list[int]:
+    """Coarsest equitable refinement of a vertex colouring.
+
+    Each round splits the colour classes by the neighbour counts of their
+    vertices in every class.  Colours come back as 0..k-1, ranked by
+    isomorphism-invariant keys.
+    """
+    classes = -1
     while True:
-        keys = [
-            (colors[v], tuple(sorted(colors[u] for u in g.neighbors(v))))
-            for v in range(g.n)
-        ]
+        masks = {}
+        for v, c in enumerate(colors):
+            masks[c] = masks.get(c, 0) | 1 << v
+        order = [masks[c] for c in sorted(masks)]
+        keys = [(c, *[(row & m).bit_count() for m in order]) for c, row in zip(colors, g.rows)]
         palette = {key: i for i, key in enumerate(sorted(set(keys)))}
-        refined = tuple(palette[key] for key in keys)
-        if refined == colors:
+        if len(palette) == classes:
             return colors
-        colors = refined
+        classes = len(palette)
+        colors = [palette[key] for key in keys]
+
+
+def canonical_code(g: Graph) -> int:
+    """Integer code that is equal exactly for isomorphic graphs of one order.
+
+    Individualization-refinement (McKay & Piperno, J. Symbolic Comput. 60,
+    2014): refine, individualize each vertex of the first colour class that
+    is not a twin class in turn, recurse, and keep the least leaf code.
+    Twins (same neighbours apart from each other) are swapped by an
+    automorphism, so one vertex per twin class is tried, and a colouring
+    whose classes are all twin classes is a leaf with ties broken by vertex
+    index.  Intended for small orders (n <= 10 or so); large twin-free
+    vertex-transitive graphs still get the exact code, just slowly.
+    """
+    def twins(u: int, v: int) -> bool:
+        return g.rows[u] & ~(1 << v) == g.rows[v] & ~(1 << u)
+
+    def search(colors: list[int]) -> int:
+        cells: dict[int, list[int]] = {}
+        for v, c in enumerate(colors):
+            cells.setdefault(c, []).append(v)
+        split = next((cell for _, cell in sorted(cells.items())
+                      if not all(twins(cell[0], v) for v in cell[1:])), None)
+        if split is None:
+            order = sorted(range(g.n), key=lambda v: (colors[v], v))
+            return sum(1 << b for b, (i, j) in enumerate(pairs(g.n))
+                       if g.rows[order[i]] >> order[j] & 1)
+        reps = [w for i, w in enumerate(split) if not any(twins(w, u) for u in split[:i])]
+        return min(search(_refine(g, [2 * c + (v != w) for v, c in enumerate(colors)]))
+                   for w in reps)
+
+    return search(_refine(g, [0] * g.n))
 
 
 def is_isomorphic(g1: Graph, g2: Graph) -> bool:
-    """Exact isomorphism test by color refinement plus backtracking.
+    """Exact isomorphism test: same order, same edge count, same canonical code.
 
-    Intended for small orders (n <= 10 or so); larger inputs still give the
-    exact answer, just slowly.
+    Intended for small orders, like canonical_code.
     """
-    if g1.n != g2.n or g1.edge_count != g2.edge_count:
-        return False
-    if sorted(g1.degrees()) != sorted(g2.degrees()):
-        return False
-    c1 = _stable_colors(g1)
-    c2 = _stable_colors(g2)
-    if sorted(c1) != sorted(c2):
-        return False
-
-    n = g1.n
-    # Most-constrained first: rare colors early, ties by vertex index.
-    freq = {c: c1.count(c) for c in set(c1)}
-    order = sorted(range(n), key=lambda v: (freq[c1[v]], c1[v], v))
-    mapping = [-1] * n
-    used = 0
-
-    def extend(k: int) -> bool:
-        nonlocal used
-        if k == n:
-            return True
-        v = order[k]
-        row = g1.rows[v]
-        for w in range(n):
-            if used >> w & 1 or c2[w] != c1[v]:
-                continue
-            ok = True
-            for idx in range(k):
-                u = order[idx]
-                if (row >> u & 1) != (g2.rows[w] >> mapping[u] & 1):
-                    ok = False
-                    break
-            if ok:
-                mapping[v] = w
-                used |= 1 << w
-                if extend(k + 1):
-                    return True
-                used &= ~(1 << w)
-                mapping[v] = -1
-        return False
-
-    return extend(0)
+    return (
+        g1.n == g2.n
+        and g1.edge_count == g2.edge_count
+        and canonical_code(g1) == canonical_code(g2)
+    )

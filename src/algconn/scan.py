@@ -5,18 +5,18 @@ The labeled graphs of order n are identified with integer codes 0 ..
 A table of clique number, algebraic connectivity, and connectivity flags is
 computed by one chunked, threaded numpy kernel over a code array: the whole
 code space of an order, the codes of a corpus streamed one graph at a time,
-or the pruned supersaturation candidates at orders 8-9 (graphs whose
-complement has bounded maximum degree).  Both extremal scans and the
-supersaturation check are then cheap filters over that table.  Code
+or the pruned supersaturation candidates (graphs whose complement has
+bounded maximum degree).  Both extremal scans and the supersaturation check
+are then cheap filters over that table.  Code
 2^(n(n-1)/2) - 1 - c is the complement of code c, so an order's table
 eigensolves only the lower half of its codes: alpha of each complement is
 n - lambda_max, since L(G) + L(complement) = nI - J.
 
 Scans emit certificates: the theoretical bound, the scanned extremum
 (re-solved directly over the achievers), the achievers deduplicated up to
-isomorphism, the characterization verdict, and any counterexamples (there
-must be none).  Certificates are deterministic: identical inputs give
-byte-identical JSON.
+isomorphism by graphs.canonical_code (each class keeps its first hit), the
+characterization verdict, and any counterexamples (there must be none).
+Certificates are deterministic: identical inputs give byte-identical JSON.
 """
 
 from __future__ import annotations
@@ -34,6 +34,7 @@ from .cliques import contains_complete_multipartite, is_kr_free
 from .graph6 import write_graph6
 from .graphs import (
     Graph,
+    canonical_code,
     complement,
     connected_components,
     decode,
@@ -298,23 +299,6 @@ class JoinDecomposition:
         return g
 
 
-def _dedup_isomorphic(graphs: list[Graph]) -> list[int]:
-    """Indices of isomorphism-class representatives, first occurrence kept."""
-    reps: list[int] = []
-    buckets: dict[tuple, list[int]] = {}
-    for idx, g in enumerate(graphs):
-        key = (g.n, g.edge_count, tuple(sorted(g.degrees())))
-        hit = False
-        for rep_idx in buckets.get(key, ()):
-            if is_isomorphic(g, graphs[rep_idx]):
-                hit = True
-                break
-        if not hit:
-            buckets.setdefault(key, []).append(idx)
-            reps.append(idx)
-    return reps
-
-
 def _scan_input(n: int, guard: int, jobs: int | None, corpus, source: str):
     """The table a scan filters and the source it reports: enumeration or corpus."""
     if corpus is not None:
@@ -359,8 +343,11 @@ def _extremal_scan(
         counterexamples.append(
             {"graph6": write_graph6(target), "alpha": bound, "reason": "extremum-mismatch"}
         )
-    achiever_graphs = [table.graph(row) for row in hit]
-    reps = [achiever_graphs[i] for i in _dedup_isomorphic(achiever_graphs)]
+    classes: dict[int, Graph] = {}
+    for row in hit:
+        g = table.graph(row)
+        classes.setdefault(canonical_code(g), g)
+    reps = list(classes.values())
     failing = [g for g in reps if not achieves(g)]
     counterexamples += [_counterexample(g, "characterization-failed") for g in failing[:20]]
     return ExtremalCertificate(
@@ -581,13 +568,11 @@ def verify_supersaturation(
 ) -> SupersaturationReport:
     """Desk-scale supersaturation check over all labeled graphs of order n.
 
-    For n within the enumeration guard the cached table is filtered
-    directly.  For n just beyond it (8 or 9) the scan stays exhaustive via a
-    sound prune: alpha(G) = n - lambda_1(complement), and lambda_1 >= max
-    degree + 1 for any graph with an edge, so only graphs whose complement
-    has max degree <= n - threshold - 1 can qualify.  Those complements are
-    enumerated as codes and their graphs tabled by the same threaded kernel,
-    so both routes honour jobs and share one filter over a GraphTable.
+    The scan stays exhaustive at every order 2..9 via a sound prune:
+    alpha(G) = n - lambda_1(complement), and lambda_1 >= max degree + 1 for
+    any graph with an edge, so only graphs whose complement has max degree
+    <= n - threshold - 1 can qualify.  Those complements are enumerated as
+    codes, and their graphs are tabled in code order by the threaded kernel.
     """
     if r < 2 or k < 1:
         raise ValueError(f"need r >= 2 and k >= 1, got r={r}, k={k}")
@@ -599,25 +584,17 @@ def verify_supersaturation(
         raise ValueError(
             f"order {n} exceeds the enumeration guard {guard}; raise it explicitly"
         )
+    if n < 2:
+        raise ValueError(f"table needs order >= 2, got {n}")
+    if n > 9:
+        raise ValueError(f"order {n} beyond the exhaustive range (max 9)")
     threshold = n - -(n // -r) + epsilon * n
     parts = [k] * r
     total = 1 << (n * (n - 1) // 2)
-
-    if n <= 7:
-        table = build_graph_table(n, jobs=jobs)
-        src = "enumeration"
-    elif n <= 9:
-        dcap = max(int(n - threshold - 1 + STRICT_TOL), 0)
-        if dcap >= n - 1:
-            raise ValueError(
-                f"threshold {threshold} too low to prune order {n}; "
-                "no exhaustive route available"
-            )
-        codes = (total - 1) ^ _bounded_degree_codes(n, dcap)
-        table = GraphTable(n, *_code_tables(n, codes, jobs), codes)
-        src = f"pruned-enumeration (complement max degree <= {dcap})"
-    else:
-        raise ValueError(f"order {n} beyond the exhaustive range (max 9)")
+    dcap = max(int(n - threshold - 1 + STRICT_TOL), 0)
+    codes = (total - 1) ^ _bounded_degree_codes(n, dcap)
+    codes.sort()
+    table = GraphTable(n, *_code_tables(n, codes, jobs), codes)
 
     hit = np.nonzero(table.alpha >= threshold - STRICT_TOL)[0]
     violations = [
@@ -629,5 +606,6 @@ def verify_supersaturation(
         n=n, r=r, k=k, epsilon=epsilon, threshold=threshold, parts=parts,
         qualifying=len(hit), violations=violations,
         vacuous=len(hit) == 0, graphs_scanned=total,
-        candidates_examined=table.size, source=src,
+        candidates_examined=table.size,
+        source=f"pruned-enumeration (complement max degree <= {dcap})",
     )

@@ -1,5 +1,7 @@
 """Graph construction and structural-query tests."""
 
+import random
+import time
 from fractions import Fraction
 from itertools import combinations
 
@@ -7,10 +9,12 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from algconn import graphs
 from algconn.cliques import is_kr_free
 from algconn.graphs import (
     Graph,
     attach_path,
+    canonical_code,
     complement,
     complete,
     complete_multipartite,
@@ -284,6 +288,63 @@ class TestIsomorphism:
         b = relabel(g, perm1)
         c = relabel(b, perm2)
         assert is_isomorphic(g, b) and is_isomorphic(b, c) and is_isomorphic(g, c)
+
+    def test_canonical_codes_count_the_classes(self):
+        # Non-isomorphic graphs on n = 1..5 vertices, OEIS A000088.
+        for n, classes in zip(range(1, 6), (1, 2, 4, 11, 34)):
+            codes = {canonical_code(decode(n, c)) for c in range(1 << n * (n - 1) // 2)}
+            assert len(codes) == classes, n
+
+    def test_networkx_oracle(self):
+        nx = pytest.importorskip("networkx")
+
+        def as_nx(g):
+            h = nx.Graph()
+            h.add_nodes_from(range(g.n))
+            h.add_edges_from(g.edges())
+            return h
+
+        rng = random.Random(6)
+        for trial in range(400):
+            if trial % 4 < 2:
+                n = rng.randint(1, 10)
+                m = rng.randint(0, n * (n - 1) // 2)
+                draw = lambda: rng.sample(pairs(n), m)
+            else:
+                # Regular graphs leave refinement a single colour class to search.
+                n = rng.randint(4, 10)
+                d = rng.choice([d for d in range(1, n - 1) if n * d % 2 == 0])
+                draw = lambda: nx.random_regular_graph(d, n, seed=rng.randrange(1 << 30)).edges()
+            g1 = Graph.from_edges(n, draw())
+            if trial % 2:
+                perm = list(range(n))
+                rng.shuffle(perm)
+                g2 = relabel(g1, perm)
+            else:
+                g2 = Graph.from_edges(n, draw())
+            assert is_isomorphic(g1, g2) == nx.is_isomorphic(as_nx(g1), as_nx(g2)), (
+                list(g1.edges()), list(g2.edges()))
+
+    def test_twin_rules_keep_symmetric_graphs_cheap(self, monkeypatch):
+        # Most refinements each search may run, as the two twin rules allow.
+        # Without one vertex per twin class, turan(40, 2) needs 41 and 5K2
+        # 2,491; without twin-class leaves, empty(40) needs 40 and 5K2 326.
+        petersen = Graph.from_edges(10, [(i, (i + 1) % 5) for i in range(5)]
+                                    + [(5 + i, 5 + (i + 2) % 5) for i in range(5)]
+                                    + [(i, i + 5) for i in range(5)])
+        five_k2 = complement(complete_multipartite(2, 2, 2, 2, 2))
+        cases = [(empty(40), 1), (complete(40), 1), (turan(40, 2), 3),
+                 (petersen, 191), (five_k2, 206)]
+        refine = graphs._refine
+        calls = []
+        monkeypatch.setattr(graphs, "_refine",
+                            lambda g, colors: calls.append(g) or refine(g, colors))
+        start = time.perf_counter()
+        for g, most in cases:
+            calls.clear()
+            canonical_code(g)
+            assert len(calls) <= most, (g.n, len(calls))
+        assert time.perf_counter() - start < 1.0
 
 
 class TestAlgebraicIdentities:

@@ -319,6 +319,36 @@ class TestSupersaturation:
         assert rep.vacuous and rep.ok
         assert rep.qualifying == 0
 
+    def test_prune_matches_the_labeled_table(self):
+        from algconn.cliques import contains_complete_multipartite
+        from algconn.graph6 import write_graph6
+        from algconn.spectra import STRICT_TOL
+
+        for n in range(2, 7):
+            alpha = build_graph_table(n).alpha
+            for r, k in ((2, 1), (2, 2), (2, 3), (3, 1), (3, 2), (4, 2)):
+                for epsilon in (0.01, 0.05, 0.1, 0.3, 1.0):
+                    rep = verify_supersaturation(n, r, k, epsilon)
+                    rows = np.nonzero(alpha >= rep.threshold - STRICT_TOL)[0]
+                    hit = [decode(n, int(row)) for row in rows]
+                    assert rep.qualifying == len(hit)
+                    # Violations in code order, as the labeled table lists them.
+                    assert rep.violations == [
+                        write_graph6(g) for g in hit
+                        if n < k * r or not contains_complete_multipartite(g, [k] * r)
+                    ]
+                    assert rep.source.startswith("pruned-enumeration")
+
+    def test_order_seven_is_pruned(self):
+        rep = verify_supersaturation(7, 3, 1, 0.05)
+        assert rep.qualifying == rep.candidates_examined == 232
+        assert rep.graphs_scanned == 1 << 21
+        assert rep.source == "pruned-enumeration (complement max degree <= 1)"
+
+    def test_order_one_is_refused(self):
+        with pytest.raises(ValueError, match="table needs order >= 2"):
+            verify_supersaturation(1, 2, 1, 0.1)
+
     def test_pruned_route_order_eight(self):
         rep = verify_supersaturation(8, 2, 2, 0.05, guard=8)
         assert rep.ok

@@ -13,7 +13,7 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 
 from .cliques import max_clique
 from .errors import CompleteGraphError, CounterexampleError, DisconnectedGraphError
@@ -92,26 +92,10 @@ class BoundsReport:
     avg2e_n: float
     flags: dict = field(default_factory=dict)
 
-    CSV_FIELDS = (
-        "n", "alpha", "omega", "lower", "upper", "lower_ceil", "upper_floor",
-        "nu", "delta", "avg2e_n", "flags",
-    )
-
-    def to_dict(self) -> dict:
-        out = {name: getattr(self, name) for name in self.CSV_FIELDS[:-1]}
-        out["flags"] = dict(self.flags)
-        return out
+    to_dict = asdict  # keys in field order
 
     def to_json(self) -> str:
         return json.dumps(self.to_dict())
-
-    def to_csv_row(self) -> str:
-        cells = []
-        for name in self.CSV_FIELDS[:-1]:
-            value = getattr(self, name)
-            cells.append("" if value is None else repr(value) if isinstance(value, float) else str(value))
-        cells.append(";".join(sorted(k for k, v in self.flags.items() if v)))
-        return ",".join(cells)
 
 
 def sandwich_report(g: Graph) -> BoundsReport:

@@ -95,21 +95,7 @@ def is_kr_free(g: Graph, r: int) -> bool:
     """True iff g has no complete subgraph on r vertices (omega < r)."""
     if r < 1:
         raise ValueError(f"clique order must be >= 1, got {r}")
-    return not _has_clique(g.rows, 0, (1 << g.n) - 1, r)
-
-
-def _has_clique(rows: tuple[int, ...], size: int, p: int, target: int) -> bool:
-    # Early-exit search for any clique of the target size.
-    if size >= target:
-        return True
-    while p:
-        if size + p.bit_count() < target:
-            return False
-        v = (p & -p).bit_length() - 1
-        p &= p - 1
-        if _has_clique(rows, size + 1, p & rows[v], target):
-            return True
-    return False
+    return max_clique(g).omega < r
 
 
 def contains_complete_multipartite(g: Graph, parts) -> bool:

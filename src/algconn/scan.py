@@ -24,7 +24,7 @@ from __future__ import annotations
 import json
 import os
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from fractions import Fraction
 from itertools import combinations, product
 
@@ -263,19 +263,7 @@ class ExtremalCertificate:
     def ok(self) -> bool:
         return self.characterization_ok and not self.counterexamples
 
-    def to_dict(self) -> dict:
-        return {
-            "n": self.n,
-            "r": self.r,
-            "mode": self.mode,
-            "bound": self.bound,
-            "achieved": self.achieved,
-            "achievers": list(self.achievers),
-            "characterization_ok": self.characterization_ok,
-            "counterexamples": [dict(c) for c in self.counterexamples],
-            "graphs_scanned": self.graphs_scanned,
-            "source": self.source,
-        }
+    to_dict = asdict  # keys in field order
 
     def to_json(self) -> str:
         return json.dumps(self.to_dict(), indent=2)
@@ -385,7 +373,7 @@ def verify_max_theorem(
     if n % r in (0, r - 1):
         achieves = lambda g: is_isomorphic(g, target)
     else:
-        achieves = lambda g: check_join_characterization(g, n, r)[0]
+        achieves = lambda g: check_join_characterization(g, n, r, tol)[0]
     table, src = _scan_input(n, guard, jobs, corpus, source)
     # omega <= r < n also excludes the complete graph.
     return _extremal_scan(
@@ -507,14 +495,7 @@ class SupersaturationReport:
     def ok(self) -> bool:
         return not self.violations
 
-    def to_dict(self) -> dict:
-        return {
-            "n": self.n, "r": self.r, "k": self.k, "epsilon": self.epsilon,
-            "threshold": self.threshold, "parts": list(self.parts),
-            "qualifying": self.qualifying, "violations": list(self.violations),
-            "vacuous": self.vacuous, "graphs_scanned": self.graphs_scanned,
-            "candidates_examined": self.candidates_examined, "source": self.source,
-        }
+    to_dict = asdict  # keys in field order
 
     def to_json(self) -> str:
         return json.dumps(self.to_dict(), indent=2)

@@ -1,5 +1,6 @@
 """Tests for the closed-form clique bounds and the degree chain."""
 
+import dataclasses
 import json
 import math
 
@@ -14,6 +15,7 @@ from algconn.bounds import (
     kite_alpha_floor,
     sandwich_report,
 )
+from algconn.cli import main
 from algconn.errors import CompleteGraphError, DisconnectedGraphError
 from algconn.graphs import (
     complete,
@@ -27,6 +29,7 @@ from algconn.graphs import (
     turan,
     vertex_connectivity,
 )
+from algconn.graph6 import write_graph6
 from algconn.scan import build_graph_table
 from algconn.spectra import algebraic_connectivity
 
@@ -166,13 +169,14 @@ class TestSandwichReport:
         data = json.loads(rep.to_json())
         assert data["omega"] == 3
         assert data["n"] == 7
-        assert set(data) == set(BoundsReport.CSV_FIELDS)
+        assert list(data) == [f.name for f in dataclasses.fields(BoundsReport)]
 
-    def test_csv_row_shape(self):
-        rep = sandwich_report(turan(6, 3))
-        row = rep.to_csv_row()
-        assert len(row.split(",")) == len(BoundsReport.CSV_FIELDS)
-        assert "lower_equality" in row
+    def test_csv_row_shape(self, capsys):
+        assert main(["--format", "csv", "bounds", write_graph6(turan(6, 3))]) == 0
+        header, row = capsys.readouterr().out.splitlines()
+        assert header.split(",") == [f.name for f in dataclasses.fields(BoundsReport)]
+        assert len(row.split(",")) == len(header.split(","))
+        assert row.endswith(",lower_equality")
 
     def test_bracket_exhaustive_n6(self):
         # ceil(lower) <= omega <= floor(upper) for connected non-complete graphs

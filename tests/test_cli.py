@@ -2,12 +2,14 @@
 
 import io
 import json
+import shlex
 import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 
-from algconn.cli import main
+from algconn.cli import build_parser, main
 from algconn.graph6 import parse_graph6, write_graph6
 from algconn.graphs import complete, complete_multipartite, is_isomorphic, kite, turan
 
@@ -77,6 +79,16 @@ class TestSpectrum:
         lines = out.strip().splitlines()
         assert len(lines) == 2
 
+    def test_csv_header_repeats_only_where_columns_change(self, capsys, monkeypatch):
+        # A disconnected graph has no Fiedler columns, so its row gets its own header.
+        monkeypatch.setattr(sys, "stdin", io.StringIO("Bw\nBw\nA?\n"))
+        code, out, _ = run_cli(capsys, "--format", "csv", "spectrum", "-")
+        assert code == 0
+        lines = out.splitlines()
+        assert [i for i, line in enumerate(lines) if line.startswith("n,")] == [0, 3]
+        assert lines[0].split(",")[-3:] == ["fiedler", "multiplicity", "connected"]
+        assert lines[3] == "n,graph6,eigenvalues,alpha,connected"
+
     def test_parse_error_exit_two(self, capsys):
         code, _, err = run_cli(capsys, "spectrum", "B\x1e")
         assert code == 2
@@ -102,6 +114,12 @@ class TestBounds:
 
 
 class TestClique:
+    def test_csv_stream_has_one_header(self, capsys, monkeypatch):
+        monkeypatch.setattr(sys, "stdin", io.StringIO("Bw\nBg\n"))
+        code, out, _ = run_cli(capsys, "--format", "csv", "clique", "-")
+        assert code == 0
+        assert out.splitlines() == ["graph6,omega,vertices", "Bw,3,0;1;2", "Bg,2,0;1"]
+
     def test_omega(self, capsys):
         g6 = write_graph6(turan(7, 3))
         code, out, _ = run_cli(capsys, "--format", "json", "clique", g6)
@@ -139,6 +157,25 @@ class TestTransform:
         assert lines[0] == "r,k,l,alpha"
         assert len(lines) > 3
 
+    def test_sweep_takes_max_total_as_given(self, capsys):
+        code, out, _ = run_cli(capsys, "--format", "json", "transform", "sweep", "3")
+        rows = [json.loads(line) for line in out.splitlines()]
+        assert code == 0 and rows
+        assert all(row["k"] + row["l"] <= 3 for row in rows)
+        code, out, _ = run_cli(capsys, "transform", "sweep", "0")
+        assert code == 0 and out == ""
+
+    def test_sweep_default_is_ten(self, capsys):
+        _, bare, _ = run_cli(capsys, "--format", "csv", "transform", "sweep")
+        _, ten, _ = run_cli(capsys, "--format", "csv", "transform", "sweep", "10")
+        assert bare == ten
+        assert bare.count("r,k,l,alpha") == 1
+
+    def test_sign_needs_three_parameters(self, capsys):
+        code, _, err = run_cli(capsys, "transform", "sign", "4", "3")
+        assert code == 2
+        assert "required: l" in err
+
 
 class TestScan:
     def test_max_json_exit_zero(self, capsys):
@@ -160,6 +197,30 @@ class TestScan:
         rows = [json.loads(line) for line in out.strip().splitlines()]
         assert rows[-1]["value"] == pytest.approx(2 / 3)
 
+    def test_trend_csv_has_one_header(self, capsys):
+        code, out, _ = run_cli(capsys, "--format", "csv", "scan", "trend", "3", "6")
+        assert code == 0
+        lines = out.splitlines()
+        assert lines[0] == "n,ratio,value"
+        assert lines.count("n,ratio,value") == 1
+        assert len(lines) == 5
+
+    def test_stray_positional_is_usage_error(self, capsys):
+        code, out, err = run_cli(capsys, "scan", "max", "5", "3", "9")
+        assert code == 2
+        assert out == ""
+        assert "unrecognized arguments: 9" in err
+
+    @pytest.mark.parametrize("argv", [
+        ("scan", "supersat", "6", "2", "2", "0.1", "--corpus", "x"),
+        ("scan", "trend", "3", "5", "--corpus", "x"),
+    ])
+    def test_corpus_only_on_max_min(self, capsys, argv):
+        code, out, err = run_cli(capsys, *argv)
+        assert code == 2
+        assert out == ""
+        assert "--corpus" in err
+
     def test_supersat(self, capsys):
         code, out, _ = run_cli(capsys, "--format", "json", "scan", "supersat", "6", "2", "2", "0.1")
         assert code == 0
@@ -180,6 +241,17 @@ class TestScan:
     def test_guard_validation(self, capsys):
         code, _, err = run_cli(capsys, "--guard", "12", "scan", "max", "6", "3")
         assert code == 2
+        assert "guard must be between 1 and 9" in err
+
+    @pytest.mark.parametrize("flag, value, message", [
+        ("--tolerance", "0", "tolerance must be positive"),
+        ("--jobs", "0", "jobs must be >= 1"),
+        ("--tolerance", "x", "invalid float value"),
+    ])
+    def test_global_flag_validation(self, capsys, flag, value, message):
+        code, _, err = run_cli(capsys, flag, value, "scan", "trend", "3", "4")
+        assert code == 2
+        assert message in err
 
     def test_guard_refusal_for_large_order(self, capsys):
         code, _, err = run_cli(capsys, "scan", "max", "8", "3")
@@ -227,3 +299,30 @@ class TestEntryPoint:
             text=True,
         )
         assert proc.returncode == 2
+
+    def test_help_exits_zero(self, capsys):
+        code, out, _ = run_cli(capsys, "--help")
+        assert code == 0
+        assert "usage: algconn" in out
+
+
+def _readme_cli_examples():
+    """The `algconn ...` lines of README's CLI code block, as argument lists."""
+    text = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    block = text.split("\n## CLI\n", 1)[1].split("```sh\n", 1)[1].split("```", 1)[0]
+    examples = []
+    for line in block.splitlines():
+        argv = shlex.split(line.rsplit("|", 1)[-1], comments=True)
+        if argv and argv[0] == "algconn":
+            examples.append(argv[1:])
+    return examples
+
+
+class TestReadme:
+    def test_cli_block_is_not_empty(self):
+        assert len(_readme_cli_examples()) >= 10
+
+    @pytest.mark.parametrize("argv", _readme_cli_examples(), ids=" ".join)
+    def test_cli_example_parses(self, argv):
+        args = build_parser().parse_args(argv)
+        assert callable(args.func)

@@ -20,6 +20,7 @@ from algconn.graphs import (
     path,
     turan,
 )
+from algconn import scan as scan_mod
 from algconn.scan import (
     build_graph_table,
     check_join_characterization,
@@ -29,6 +30,7 @@ from algconn.scan import (
     verify_min_theorem,
     verify_supersaturation,
 )
+from algconn.spectra import BOUND_TOL
 
 class TestEnumeration:
     def test_order_three(self):
@@ -154,6 +156,20 @@ class TestMaxTheorem:
         assert len(achievers) == 2
         assert any(is_isomorphic(g, turan(5, 4)) for g in achievers)
         assert any(is_isomorphic(g, turan(5, 3)) for g in achievers)
+
+    def test_tolerance_reaches_join_characterization(self, monkeypatch):
+        # 5 mod 4 = 1 lies strictly between 0 and r - 1 = 3: a join case, so
+        # every achiever is checked by the characterization with the caller's tol.
+        seen = []
+        real = scan_mod.check_join_characterization
+
+        def spy(g, n, r, tol=BOUND_TOL):
+            seen.append(tol)
+            return real(g, n, r, tol)
+
+        monkeypatch.setattr(scan_mod, "check_join_characterization", spy)
+        assert verify_max_theorem(5, 4, tol=1e-3).ok
+        assert seen and set(seen) == {1e-3}
 
     def test_join_case_with_two_empty_factors(self):
         # 6 = 1*4 + 2: achievers must shed two empty order-2 factors; both

@@ -50,11 +50,9 @@ from .graphs import (
 )
 from .scan import (
     ExtremalCertificate,
-    JoinDecomposition,
     SupersaturationReport,
     build_graph_table,
     check_join_characterization,
-    enumerate_graphs,
     erdos_stone_trend,
     verify_max_theorem,
     verify_min_theorem,

@@ -17,6 +17,7 @@ from dataclasses import asdict, dataclass, field
 
 from .cliques import max_clique
 from .errors import CompleteGraphError, CounterexampleError, DisconnectedGraphError
+from .graph6 import write_graph6
 from .graphs import Graph, is_connected, min_degree, vertex_connectivity
 from .spectra import BOUND_TOL, EQUALITY_TOL, algebraic_connectivity
 
@@ -54,8 +55,8 @@ def kite_alpha_floor(n: int, r: int) -> float:
     return 4 / (n * (n - r + 1))
 
 
-def degree_chain(g: Graph) -> tuple[float, int, int, float]:
-    """(alpha, nu, delta, 2e/n) for a connected non-complete graph, chain verified."""
+def degree_chain(g: Graph, tol: float = BOUND_TOL) -> tuple[float, int, int, float]:
+    """(alpha, nu, delta, 2e/n) for a connected non-complete graph, chain verified to tol."""
     if not is_connected(g):
         raise DisconnectedGraphError("degree chain needs a connected graph")
     if g.is_complete:
@@ -64,7 +65,7 @@ def degree_chain(g: Graph) -> tuple[float, int, int, float]:
     nu = vertex_connectivity(g)
     delta = min_degree(g)
     avg = 2 * g.edge_count / g.n
-    if not (alpha <= nu + BOUND_TOL and nu <= delta and delta <= avg + BOUND_TOL):
+    if not (alpha <= nu + tol and nu <= delta and delta <= avg + tol):
         raise CounterexampleError(
             f"degree chain violated: alpha={alpha}, nu={nu}, delta={delta}, 2e/n={avg}"
         )
@@ -98,23 +99,30 @@ class BoundsReport:
         return json.dumps(self.to_dict())
 
 
-def sandwich_report(g: Graph) -> BoundsReport:
-    """Evaluate both clique bounds and the degree chain on one connected graph."""
+def sandwich_report(g: Graph, tol: float = BOUND_TOL) -> BoundsReport:
+    """Evaluate both clique bounds and the degree chain on one connected graph.
+
+    Raises CounterexampleError if, for a non-complete graph, the degree
+    chain or lower <= omega <= upper fails by more than tol.
+    """
     if not is_connected(g):
         raise DisconnectedGraphError("bounds need a connected graph")
     omega = max_clique(g).omega
-    alpha = algebraic_connectivity(g)
-    nu = vertex_connectivity(g)
-    delta = min_degree(g)
-    avg = 2 * g.edge_count / g.n
     if g.is_complete:
         return BoundsReport(
-            n=g.n, alpha=alpha, omega=omega, lower=None, upper=None,
-            lower_ceil=None, upper_floor=None, nu=nu, delta=delta, avg2e_n=avg,
+            n=g.n, alpha=algebraic_connectivity(g), omega=omega, lower=None, upper=None,
+            lower_ceil=None, upper_floor=None, nu=vertex_connectivity(g),
+            delta=min_degree(g), avg2e_n=2 * g.edge_count / g.n,
             flags={"complete": True, "lower_equality": False, "upper_equality": False},
         )
+    alpha, nu, delta, avg = degree_chain(g, tol)
     lower = clique_lower_bound(g.n, alpha)
     upper = clique_upper_bound(g.n, alpha)
+    if not (lower <= omega + tol and omega <= upper + tol):
+        raise CounterexampleError(
+            f"clique bounds violated by {write_graph6(g)}: "
+            f"{lower} <= {omega} <= {upper} fails"
+        )
     return BoundsReport(
         n=g.n, alpha=alpha, omega=omega, lower=lower, upper=upper,
         lower_ceil=math.ceil(lower - EQUALITY_TOL),

@@ -15,7 +15,6 @@ from .graphs import Graph, _bits
 __all__ = [
     "CliqueWitness",
     "max_clique",
-    "clique_number",
     "is_kr_free",
     "contains_complete_multipartite",
 ]
@@ -85,10 +84,6 @@ def max_clique(g: Graph) -> CliqueWitness:
         later &= ~(1 << v)
         expand(1 << v, 1, rows[v] & later, rows[v] & ~later)
     return CliqueWitness(best["size"], tuple(_bits(best["mask"])))
-
-
-def clique_number(g: Graph) -> int:
-    return max_clique(g).omega
 
 
 def is_kr_free(g: Graph, r: int) -> bool:

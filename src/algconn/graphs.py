@@ -39,7 +39,6 @@ __all__ = [
     "connected_components",
     "is_connected",
     "min_degree",
-    "max_degree",
     "vertex_connectivity",
     "canonical_code",
     "is_isomorphic",
@@ -77,9 +76,6 @@ class Graph:
 
     def degrees(self) -> list[int]:
         return [row.bit_count() for row in self.rows]
-
-    def neighbors(self, v: int) -> list[int]:
-        return _bits(self.rows[v])
 
     @property
     def edge_count(self) -> int:
@@ -404,10 +400,6 @@ def is_connected(g: Graph) -> bool:
 
 def min_degree(g: Graph) -> int:
     return min(g.degrees())
-
-
-def max_degree(g: Graph) -> int:
-    return max(g.degrees())
 
 
 def vertex_connectivity(g: Graph) -> int:

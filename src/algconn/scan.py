@@ -41,7 +41,6 @@ from .graphs import (
     encode,
     induced_subgraph,
     is_isomorphic,
-    join,
     kite,
     pair_index,
     pairs,
@@ -57,12 +56,10 @@ from .spectra import (
 __all__ = [
     "GraphTable",
     "ExtremalCertificate",
-    "JoinDecomposition",
     "SupersaturationReport",
     "DEFAULT_GUARD",
     "build_graph_table",
     "clear_table_cache",
-    "enumerate_graphs",
     "verify_max_theorem",
     "verify_min_theorem",
     "check_join_characterization",
@@ -225,21 +222,6 @@ def _corpus_table(corpus, n: int, jobs: int | None) -> GraphTable:
     return GraphTable(n, *_code_tables(n, codes, jobs), codes)
 
 
-def enumerate_graphs(n: int, predicate=None, *, guard: int = DEFAULT_GUARD):
-    """All labeled graphs of order n in code order, optionally filtered."""
-    if n < 1:
-        raise ValueError(f"order must be positive, got {n}")
-    if n > guard:
-        raise ValueError(
-            f"order {n} exceeds the enumeration guard {guard}; "
-            "raise the guard explicitly or supply a corpus"
-        )
-    for code in range(1 << (n * (n - 1) // 2)):
-        g = decode(n, code)
-        if predicate is None or predicate(g):
-            yield g
-
-
 # ---------------------------------------------------------------------------
 # Certificates
 # ---------------------------------------------------------------------------
@@ -267,24 +249,6 @@ class ExtremalCertificate:
 
     def to_json(self) -> str:
         return json.dumps(self.to_dict(), indent=2)
-
-
-@dataclass(frozen=True)
-class JoinDecomposition:
-    """Join factorization of a graph, derived from its complement's components.
-
-    factors[i] is the complement of the complement-component on the vertices
-    in derivation[i]; the join of all factors is isomorphic to the original.
-    """
-
-    factors: tuple[Graph, ...]
-    derivation: tuple[tuple[int, ...], ...]
-
-    def reconstruct(self) -> Graph:
-        g = self.factors[0]
-        for f in self.factors[1:]:
-            g = join(g, f)
-        return g
 
 
 def _scan_input(n: int, guard: int, jobs: int | None, corpus, source: str):
@@ -373,7 +337,7 @@ def verify_max_theorem(
     if n % r in (0, r - 1):
         achieves = lambda g: is_isomorphic(g, target)
     else:
-        achieves = lambda g: check_join_characterization(g, n, r, tol)[0]
+        achieves = lambda g: check_join_characterization(g, n, r, tol)
     table, src = _scan_input(n, guard, jobs, corpus, source)
     # omega <= r < n also excludes the complete graph.
     return _extremal_scan(
@@ -411,44 +375,32 @@ def verify_min_theorem(
     )
 
 
-def check_join_characterization(
-    g: Graph, n: int, r: int, tol: float = BOUND_TOL
-) -> tuple[bool, JoinDecomposition]:
+def check_join_characterization(g: Graph, n: int, r: int, tol: float = BOUND_TOL) -> bool:
     """Test the join form required of equality achievers when 0 < n mod r < r-1.
 
-    Factor g as the join of the complements of its complement's components,
-    then look for t = n mod r factors that are edgeless of order k+1 such
-    that the join H of the remaining factors is K_{r+1-t}-free with
-    alpha(H) >= n - (k+1)(t+1).  Any valid selection passes.
+    With n = kr + t, g passes iff it has t independent (k+1)-sets, each
+    joined to every other vertex, whose removal leaves an induced subgraph H
+    that is K_{r+1-t}-free with alpha(H) >= n - (k+1)(t+1).  Those sets are
+    exactly the complement components of order k+1 with no edge in g.
     """
     if g.n != n:
         raise ValueError(f"graph order {g.n} does not match n={n}")
+    if not 2 <= r < n:
+        raise ValueError(f"need 2 <= r < n, got r={r}, n={n}")
     k, t = divmod(n, r)
     if not 0 < t < r - 1:
         raise ValueError(f"characterization applies only for 0 < n mod r < r-1, got t={t}")
-    comp = complement(g)
-    comps = connected_components(comp)
-    factors = tuple(complement(induced_subgraph(comp, c)) for c in comps)
-    decomp = JoinDecomposition(factors, tuple(tuple(c) for c in comps))
-    empties = [
-        i for i, f in enumerate(factors) if f.n == k + 1 and f.edge_count == 0
+    parts = [
+        c for c in connected_components(complement(g))
+        if len(c) == k + 1 and induced_subgraph(g, c).edge_count == 0
     ]
     floor = n - (k + 1) * (t + 1)
-    for chosen in combinations(empties, t):
-        rest = [factors[i] for i in range(len(factors)) if i not in chosen]
-        if not rest:
-            continue
-        h = rest[0]
-        for f in rest[1:]:
-            h = join(h, f)
-        if h.n != n - (k + 1) * t:
-            continue
-        if not is_kr_free(h, r + 1 - t):
-            continue
-        alpha_h = algebraic_connectivity(h) if h.n >= 2 else 0.0
-        if alpha_h >= floor - tol:
-            return True, decomp
-    return False, decomp
+    for chosen in combinations(parts, t):
+        taken = {v for part in chosen for v in part}
+        h = induced_subgraph(g, [v for v in range(n) if v not in taken])
+        if is_kr_free(h, r + 1 - t) and algebraic_connectivity(h) >= floor - tol:
+            return True
+    return False
 
 
 def erdos_stone_trend(r: int, n_max: int) -> list[tuple[int, Fraction]]:

@@ -65,6 +65,18 @@ class Spectrum:
             raise ValueError("alpha needs order >= 2")
         return float(self.eigenvalues[-2])
 
+    def fiedler(self) -> FiedlerVector:
+        """The alpha eigenvector, sign-normalized as fiedler_vector documents."""
+        alpha = self.alpha
+        vec = self.eigenvectors[:, -2].copy()
+        multiplicity = int(np.sum(np.abs(self.eigenvalues - alpha) <= MULTIPLICITY_TOL))
+        for x in vec:
+            if abs(x) > 1e-9:
+                if x < 0:
+                    vec = -vec
+                break
+        return FiedlerVector(vec, alpha, multiplicity)
+
 
 @dataclass(frozen=True)
 class FiedlerVector:
@@ -135,17 +147,7 @@ def fiedler_vector(g: Graph) -> FiedlerVector:
         raise ValueError("Fiedler vector needs order >= 2")
     if not is_connected(g):
         raise DisconnectedGraphError("Fiedler vector undefined for disconnected graphs")
-    spec = eig_sym(laplacian(g))
-    vals = spec.eigenvalues
-    alpha = spec.alpha
-    vec = spec.eigenvectors[:, -2].copy()
-    multiplicity = int(np.sum(np.abs(vals - alpha) <= MULTIPLICITY_TOL))
-    for x in vec:
-        if abs(x) > 1e-9:
-            if x < 0:
-                vec = -vec
-            break
-    return FiedlerVector(vec, alpha, multiplicity)
+    return eig_sym(laplacian(g)).fiedler()
 
 
 def lambda_max(g: Graph) -> float:

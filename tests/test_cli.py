@@ -94,6 +94,25 @@ class TestSpectrum:
         assert code == 2
         assert "graph6" in err
 
+    def test_one_eigensolve_per_graph(self, capsys, monkeypatch):
+        import numpy as np
+
+        calls = []
+        real = np.linalg.eigh
+        monkeypatch.setattr(np.linalg, "eigh", lambda m: calls.append(1) or real(m))
+        code, out, _ = run_cli(capsys, "--format", "json", "spectrum", "Bw")
+        assert code == 0
+        assert json.loads(out)["multiplicity"] == 2
+        assert len(calls) == 1
+
+    def test_numerical_error_exits_two(self, capsys):
+        # No eigensolve meets a 1e-18 residual: one error line, exit 2.
+        code, out, err = run_cli(capsys, "--tolerance", "1e-18", "spectrum", "Bw")
+        assert code == 2
+        assert out == ""
+        assert err.startswith("numerical error: ")
+        assert len(err.splitlines()) == 1
+
 
 class TestBounds:
     def test_complete_flags(self, capsys, monkeypatch):
@@ -111,6 +130,16 @@ class TestBounds:
         header, row = out.strip().splitlines()
         assert header.startswith("n,alpha,omega")
         assert row.split(",")[2] == "3"
+
+    def test_broken_degree_chain_exits_one(self, capsys, monkeypatch):
+        from algconn import bounds
+
+        # nu = 0 < alpha breaks alpha <= nu <= delta <= 2e/n.
+        monkeypatch.setattr(bounds, "vertex_connectivity", lambda g: 0)
+        code, out, err = run_cli(capsys, "bounds", write_graph6(turan(6, 3)))
+        assert code == 1
+        assert out == ""
+        assert "degree chain violated" in err
 
 
 class TestClique:

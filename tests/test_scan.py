@@ -1,7 +1,8 @@
-"""Scan-module tests: enumeration, certificates, characterizations, trends."""
+"""Scan-module tests: tables, certificates, characterizations, trends."""
 
 import json
 from fractions import Fraction
+from itertools import combinations
 
 import numpy as np
 import pytest
@@ -24,35 +25,12 @@ from algconn import scan as scan_mod
 from algconn.scan import (
     build_graph_table,
     check_join_characterization,
-    enumerate_graphs,
     erdos_stone_trend,
     verify_max_theorem,
     verify_min_theorem,
     verify_supersaturation,
 )
 from algconn.spectra import BOUND_TOL
-
-class TestEnumeration:
-    def test_order_three(self):
-        graphs = list(enumerate_graphs(3))
-        assert len(graphs) == 8
-        assert sum(1 for g in graphs if is_connected(g)) == 4
-
-    def test_order_four_connected(self):
-        assert sum(1 for g in enumerate_graphs(4) if is_connected(g)) == 38
-
-    def test_order_two(self):
-        assert [g.edge_count for g in enumerate_graphs(2)] == [0, 1]
-
-    def test_guard_refusal(self):
-        with pytest.raises(ValueError):
-            next(enumerate_graphs(8))
-        assert next(enumerate_graphs(8, guard=8)) is not None
-
-    def test_predicate_filter(self):
-        count = sum(1 for _ in enumerate_graphs(4, lambda g: g.edge_count == 3))
-        assert count == 20  # C(6, 3)
-
 
 class TestGraphTable:
     def test_matches_direct_computation(self):
@@ -70,6 +48,11 @@ class TestGraphTable:
                 assert abs(table.alpha[code] - direct) < 1e-10
             else:
                 assert table.alpha[code] == 0.0
+
+    def test_connected_counts(self):
+        assert build_graph_table(3).size == 8
+        for n, connected in ((3, 4), (4, 38)):
+            assert int(build_graph_table(n).connected.sum()) == connected
 
     def test_jobs_do_not_change_results(self):
         from algconn import scan
@@ -181,8 +164,7 @@ class TestMaxTheorem:
         assert any(is_isomorphic(g, turan(6, 4)) for g in achievers)
         assert any(is_isomorphic(g, turan(6, 3)) for g in achievers)
         for g in achievers:
-            ok, _ = check_join_characterization(g, 6, 4)
-            assert ok
+            assert check_join_characterization(g, 6, 4)
 
     def test_residue_r_minus_one_unique(self):
         cert = verify_max_theorem(7, 4)  # 7 = 1*4 + 3 = kr + r - 1
@@ -259,28 +241,77 @@ class TestMinTheorem:
         assert is_isomorphic(parse_graph6(cert.achievers[0]), kite(4, 3))
 
 
+def _join_form_brute(g, n, r, tol=BOUND_TOL):
+    """The theorem's join form read literally, without complement components.
+
+    Search t disjoint independent (k+1)-sets, each joined to every vertex
+    outside it, whose removal leaves a K_{r+1-t}-free rest H with
+    alpha(H) >= n - (k+1)(t+1); alpha(H) comes from numpy directly.
+    """
+    k, t = divmod(n, r)
+    sets = [
+        set(s) for s in combinations(range(n), k + 1)
+        if not any(g.has_edge(u, v) for u, v in combinations(s, 2))
+        and all(g.has_edge(u, v) for u in s for v in range(n) if v not in s)
+    ]
+    for chosen in combinations(sets, t):
+        taken = set().union(*chosen)
+        if len(taken) != t * (k + 1):
+            continue
+        rest = [v for v in range(n) if v not in taken]
+        if any(
+            all(g.has_edge(u, v) for u, v in combinations(c, 2))
+            for c in combinations(rest, r + 1 - t)
+        ):
+            continue
+        lap = np.zeros((len(rest), len(rest)))
+        for i, u in enumerate(rest):
+            for j, v in enumerate(rest):
+                if i != j and g.has_edge(u, v):
+                    lap[i, j] = -1.0
+                    lap[i, i] += 1.0
+        if np.linalg.eigvalsh(lap)[1] >= n - (k + 1) * (t + 1) - tol:
+            return True
+    return False
+
+
 class TestJoinCharacterization:
     def test_unbalanced_tripartite(self):
-        ok, decomp = check_join_characterization(complete_multipartite(3, 3, 1), 7, 3)
-        assert ok
-        assert sorted(f.n for f in decomp.factors) == [1, 3, 3]
-        assert all(f.edge_count == 0 for f in decomp.factors)
+        assert check_join_characterization(complete_multipartite(3, 3, 1), 7, 3)
 
     def test_turan_seven_three(self):
-        ok, decomp = check_join_characterization(turan(7, 3), 7, 3)
-        assert ok
-        assert is_isomorphic(decomp.reconstruct(), turan(7, 3))
+        assert check_join_characterization(turan(7, 3), 7, 3)
 
     def test_failing_graph(self):
-        # C_7 has alpha < 4 and no empty order-3 join factor
+        # C_7 has alpha < 4 and no independent order-3 set joined to the rest
         from algconn.graphs import cycle
 
-        ok, _ = check_join_characterization(cycle(7), 7, 3)
-        assert not ok
+        assert not check_join_characterization(cycle(7), 7, 3)
 
     def test_wrong_residue_rejected(self):
         with pytest.raises(ValueError):
             check_join_characterization(turan(6, 3), 6, 3)
+
+    def test_order_below_r_rejected(self):
+        # 3 = 0*5 + 3 has 0 < t < r-1 but no room for t parts of order k+1 = 1.
+        with pytest.raises(ValueError, match="2 <= r < n"):
+            check_join_characterization(path(3), 3, 5)
+
+    def test_matches_brute_force(self):
+        # Every K_{r+1}-free graph at (4,3) and (5,4), and those within 1 of
+        # the Turan bound at (6,4) and (6,5), against the literal reading.
+        checked = 0
+        for n, r, margin in ((4, 3, None), (5, 4, None), (6, 4, 1.0), (6, 5, 1.0)):
+            table = build_graph_table(n)
+            rows = table.omega <= r
+            if margin is not None:
+                rows &= table.alpha >= n - -(n // -r) - margin
+            for row in np.nonzero(rows)[0]:
+                g = table.graph(row)
+                expected = _join_form_brute(g, n, r)
+                assert check_join_characterization(g, n, r) == expected, (n, r, row)
+                checked += 1
+        assert checked == 1986
 
     def test_join_factorization_identity_sampled(self):
         rng = np.random.default_rng(9)

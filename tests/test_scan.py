@@ -32,6 +32,17 @@ from algconn.scan import (
 )
 from algconn.spectra import BOUND_TOL
 
+class TestEnumeration:
+    def test_order_three(self):
+        table = build_graph_table(3)
+        assert table.size == 8
+        assert int(table.connected.sum()) == 4
+        assert sum(1 for code in range(8) if is_connected(decode(3, code))) == 4
+
+    def test_order_four_connected(self):
+        assert int(build_graph_table(4).connected.sum()) == 38
+
+
 class TestGraphTable:
     def test_matches_direct_computation(self):
         from algconn.cliques import max_clique
@@ -48,11 +59,6 @@ class TestGraphTable:
                 assert abs(table.alpha[code] - direct) < 1e-10
             else:
                 assert table.alpha[code] == 0.0
-
-    def test_connected_counts(self):
-        assert build_graph_table(3).size == 8
-        for n, connected in ((3, 4), (4, 38)):
-            assert int(build_graph_table(n).connected.sum()) == connected
 
     def test_jobs_do_not_change_results(self):
         from algconn import scan

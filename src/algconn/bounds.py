@@ -109,8 +109,10 @@ def sandwich_report(g: Graph, tol: float = BOUND_TOL) -> BoundsReport:
         raise DisconnectedGraphError("bounds need a connected graph")
     omega = max_clique(g).omega
     if g.is_complete:
+        # K_1's one Laplacian eigenvalue, 0, stands in for its alpha.
+        alpha = algebraic_connectivity(g) if g.n > 1 else 0.0
         return BoundsReport(
-            n=g.n, alpha=algebraic_connectivity(g), omega=omega, lower=None, upper=None,
+            n=g.n, alpha=alpha, omega=omega, lower=None, upper=None,
             lower_ceil=None, upper_floor=None, nu=vertex_connectivity(g),
             delta=min_degree(g), avg2e_n=2 * g.edge_count / g.n,
             flags={"complete": True, "lower_equality": False, "upper_equality": False},

@@ -2,31 +2,43 @@
 
 The labeled graphs of order n are identified with integer codes 0 ..
 2^(n(n-1)/2) - 1 (one bit per vertex pair, in graphs.pair_index order).
-A table of clique number, algebraic connectivity, and connectivity flags is
-computed by one chunked, threaded numpy kernel over a code array: the whole
-code space of an order, the codes of a corpus streamed one graph at a time,
-or the pruned supersaturation candidates (graphs whose complement has
-bounded maximum degree).  Both extremal scans and the supersaturation check
-are then cheap filters over that table.  Code
-2^(n(n-1)/2) - 1 - c is the complement of code c, so an order's table
-eigensolves only the lower half of its codes: alpha of each complement is
-n - lambda_max, since L(G) + L(complement) = nI - J.
+One chunked, threaded numpy kernel computes clique number, algebraic
+connectivity and connectivity flags over a code array; a GraphTable holds
+the result, one row per code.
+
+The max/min scans by enumeration run over isomorphism classes instead: the
+omega, alpha and connectivity of a graph do not depend on its labeling, so
+order n needs one row per class (1,044 at n = 7, not 2^21 codes), weighted
+by the number of labelings of the class.  The classes are grown order by
+order from the previous order's representatives and keyed by
+graphs.canonical_code; the weights are counted during that growth.  A
+corpus scan tables its codes as given, and the supersaturation check
+tables its pruned candidates (graphs whose complement has bounded maximum
+degree).  build_graph_table still tables every labeled code of an order, as
+an independent labeled route to check the class route against; it
+eigensolves only the lower half of the codes, since code
+2^(n(n-1)/2) - 1 - c is the complement of code c and the alpha of each
+complement is n - lambda_max (L(G) + L(complement) = nI - J).
 
 Scans emit certificates: the theoretical bound, the scanned extremum
-(re-solved directly over the achievers), the achievers deduplicated up to
-isomorphism by graphs.canonical_code (each class keeps its first hit), the
+(re-solved directly over every labeling of the achievers), the achievers
+up to isomorphism (each class as its first labeling in scan order), the
 characterization verdict, and any counterexamples (there must be none).
-Certificates are deterministic: identical inputs give byte-identical JSON.
+Labeled counts and listed graphs are the same as a scan over every
+labeled graph in code order would give.  Certificates are deterministic:
+identical inputs give byte-identical JSON.
 """
 
 from __future__ import annotations
 
+import functools
 import json
 import os
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import asdict, dataclass
 from fractions import Fraction
-from itertools import combinations, product
+from itertools import combinations, permutations, product
+from types import MappingProxyType
 
 import numpy as np
 
@@ -78,10 +90,13 @@ _TABLE_CACHE: dict[int, "GraphTable"] = {}
 
 @dataclass(frozen=True)
 class GraphTable:
-    """Per-code invariants over a set of labeled graphs of one order.
+    """Per-row invariants over graphs of one order.
 
     Row i holds the graph with code codes[i]; codes is None for the full
-    enumeration, where row i holds code i.
+    enumeration, where row i holds code i.  Without weights each row is one
+    labeled graph.  With weights each row is one isomorphism class:
+    codes[i] is its canonical code and weights[i] the number of its
+    labelings.
     """
 
     n: int
@@ -89,6 +104,7 @@ class GraphTable:
     alpha: np.ndarray      # float64; exactly 0.0 for disconnected codes
     connected: np.ndarray  # bool
     codes: np.ndarray | None = None  # int64
+    weights: np.ndarray | None = None  # int64
 
     @property
     def size(self) -> int:
@@ -97,6 +113,20 @@ class GraphTable:
     def graph(self, row: int) -> Graph:
         """The graph in one row of the table."""
         return decode(self.n, int(row if self.codes is None else self.codes[row]))
+
+    def labeled(self, rows: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """(codes, owner): the labeled graphs in these rows, in scan order.
+
+        Labeled rows keep their order.  Class rows expand to every labeling
+        of their class, sorted by code, as a scan over all codes meets them.
+        owner[i] is the row that codes[i] belongs to.
+        """
+        if self.weights is None:
+            return (rows if self.codes is None else self.codes[rows]), rows
+        parts = [_labelings(self.n, int(self.codes[row])) for row in rows]
+        codes = np.concatenate([np.zeros(0, np.int64), *parts])
+        order = np.argsort(codes)
+        return codes[order], np.repeat(rows, [len(p) for p in parts])[order]
 
 
 def _chunk_tables(n: int, codes: np.ndarray, paired: bool = False):
@@ -180,13 +210,7 @@ def _code_tables(n: int, codes: np.ndarray, jobs: int | None, paired: bool = Fal
     return table
 
 
-def build_graph_table(n: int, jobs: int | None = None) -> GraphTable:
-    """Compute (or fetch from cache) the full invariant table for order n.
-
-    Only the lower half of the code space is eigensolved; each solve also
-    gives the complementary code's row, whose alpha (n - lambda_max) can
-    differ from a direct solve in the last bits (about 1e-14).
-    """
+def _check_enumerable(n: int) -> None:
     if n < 2:
         raise ValueError(f"table needs order >= 2, got {n}")
     if n > 7:
@@ -194,6 +218,16 @@ def build_graph_table(n: int, jobs: int | None = None) -> GraphTable:
             f"full table for order {n} would hold 2^{n * (n - 1) // 2} codes; "
             "use corpus mode beyond order 7"
         )
+
+
+def build_graph_table(n: int, jobs: int | None = None) -> GraphTable:
+    """Compute (or fetch from cache) the full invariant table for order n.
+
+    Only the lower half of the code space is eigensolved; each solve also
+    gives the complementary code's row, whose alpha (n - lambda_max) can
+    differ from a direct solve in the last bits (about 1e-14).
+    """
+    _check_enumerable(n)
     cached = _TABLE_CACHE.get(n)
     if cached is not None:
         return cached
@@ -205,6 +239,52 @@ def build_graph_table(n: int, jobs: int | None = None) -> GraphTable:
 
 def clear_table_cache() -> None:
     _TABLE_CACHE.clear()
+
+
+@functools.cache
+def _classes(n: int) -> MappingProxyType:
+    """The isomorphism classes of order n: canonical code -> labelings, by code.
+
+    Order n grows from the order n-1 representatives: the new vertex n-1
+    takes each of its 2^(n-1) neighbour sets, and each result is keyed by
+    graphs.canonical_code (the growth of McKay, "Isomorph-free exhaustive
+    generation", J. Algorithms 26, 1998, without its canonical augmentation).
+    Each labeled order-n graph is exactly one labeled order-(n-1) graph plus
+    one neighbour set of vertex n-1, and relabeling a parent maps its
+    neighbour sets onto those of the same classes.  So a class's labelings
+    number the sum of its parent classes' labelings over the (parent,
+    neighbour set) pairs that land in it: no automorphism group is counted.
+    """
+    if n == 1:
+        return MappingProxyType({0: 1})
+    shift = (n - 1) * (n - 2) // 2  # bit offset of column n-1 in a code
+    weights: dict[int, int] = {}
+    for parent, weight in _classes(n - 1).items():
+        for column in range(1 << (n - 1)):
+            key = canonical_code(decode(n, parent | column << shift))
+            weights[key] = weights.get(key, 0) + weight
+    return MappingProxyType(dict(sorted(weights.items())))
+
+
+def _class_table(n: int) -> GraphTable:
+    """One row per isomorphism class of order n, from one batched kernel call."""
+    classes = _classes(n)
+    codes = np.fromiter(classes, np.int64, len(classes))
+    weights = np.fromiter(classes.values(), np.int64, len(classes))
+    return GraphTable(n, *_chunk_tables(n, codes), codes, weights)
+
+
+def _labelings(n: int, code: int) -> np.ndarray:
+    """Sorted codes of every labeling of the order-n graph with this code."""
+    bit = np.zeros((n, n), np.int64)  # bit[u, v]: the code bit of pair {u, v}
+    for b, (i, j) in enumerate(pairs(n)):
+        bit[i, j] = bit[j, i] = b
+    perms = np.array(list(permutations(range(n))), dtype=np.int64).T
+    out = np.zeros(perms.shape[1], np.int64)
+    for b, (i, j) in enumerate(pairs(n)):
+        if code >> b & 1:
+            out |= np.int64(1) << bit[perms[i], perms[j]]
+    return np.unique(out)
 
 
 def _corpus_table(corpus, n: int, jobs: int | None) -> GraphTable:
@@ -252,14 +332,19 @@ class ExtremalCertificate:
 
 
 def _scan_input(n: int, guard: int, jobs: int | None, corpus, source: str):
-    """The table a scan filters and the source it reports: enumeration or corpus."""
+    """The table a scan filters and the source it reports.
+
+    A corpus gives a labeled table over its graphs; enumeration gives the
+    class table, whose representatives are few enough to need no threads.
+    """
     if corpus is not None:
         return _corpus_table(corpus, n, jobs), source
     if n > guard:
         raise ValueError(
             f"order {n} exceeds the enumeration guard {guard}; supply a corpus"
         )
-    return build_graph_table(n, jobs=jobs), "enumeration"
+    _check_enumerable(n)
+    return _class_table(n), "enumeration"
 
 
 def _counterexample(g: Graph, reason: str) -> dict:
@@ -276,28 +361,30 @@ def _extremal_scan(
     whose alpha breaks the bound (reported as `reason`).  The extremum of
     alpha over the eligible rows must equal the bound, attained by `target`;
     every equality achiever, up to isomorphism, must pass `achieves`.
-    The achievers (eligible rows within EQUALITY_TOL of the extremum) are
-    solved again directly for `achieved`, so it does not depend on which
-    half of a paired table they sit in.
+    Every labeling of the achievers (eligible rows within EQUALITY_TOL of
+    the extremum) is solved again directly for `achieved`, so it does not
+    depend on which labeling or which half of a paired table a row holds.
     """
     if not eligible.any():
         raise ValueError("corpus contained no eligible graphs")
     alphas = table.alpha[eligible]
     extremum = alphas.max() if mode == "max" else alphas.min()
-    hit = np.nonzero(eligible & (np.abs(table.alpha - extremum) <= EQUALITY_TOL))[0]
-    exact = _chunk_tables(table.n, hit if table.codes is None else table.codes[hit])[1]
+    hit, owner = table.labeled(
+        np.nonzero(eligible & (np.abs(table.alpha - extremum) <= EQUALITY_TOL))[0])
+    exact = _chunk_tables(table.n, hit)[1]
     achieved = float(exact.max() if mode == "max" else exact.min())
     counterexamples = [
-        _counterexample(table.graph(row), reason)
-        for row in np.nonzero(eligible & beyond)[0][:20]
+        _counterexample(decode(table.n, int(code)), reason)
+        for code in table.labeled(np.nonzero(eligible & beyond)[0])[0][:20]
     ]
     if abs(achieved - bound) > EQUALITY_TOL:
         counterexamples.append(
             {"graph6": write_graph6(target), "alpha": bound, "reason": "extremum-mismatch"}
         )
     classes: dict[int, Graph] = {}
-    for row in hit:
-        g = table.graph(row)
+    # Each row's first labeling; labeled rows of one class share a canonical code.
+    for code in hit[np.sort(np.unique(owner, return_index=True)[1])]:
+        g = decode(table.n, int(code))
         classes.setdefault(canonical_code(g), g)
     reps = list(classes.values())
     failing = [g for g in reps if not achieves(g)]
@@ -307,7 +394,8 @@ def _extremal_scan(
         achievers=[write_graph6(g) for g in reps],
         characterization_ok=not failing,
         counterexamples=counterexamples,
-        graphs_scanned=int(eligible.sum()),
+        graphs_scanned=int(eligible.sum() if table.weights is None
+                           else table.weights[eligible].sum()),
         source=source,
     )
 

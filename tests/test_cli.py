@@ -131,6 +131,14 @@ class TestBounds:
         assert header.startswith("n,alpha,omega")
         assert row.split(",")[2] == "3"
 
+    def test_single_vertex_does_not_stop_the_stream(self, capsys, monkeypatch):
+        monkeypatch.setattr(sys, "stdin", io.StringIO("@\nBw\n"))
+        code, out, _ = run_cli(capsys, "--format", "json", "bounds", "-")
+        assert code == 0
+        k1, k3 = map(json.loads, out.splitlines())
+        assert (k1["n"], k1["alpha"], k1["omega"], k1["flags"]["complete"]) == (1, 0.0, 1, True)
+        assert (k3["n"], k3["omega"]) == (3, 3)
+
     def test_broken_degree_chain_exits_one(self, capsys, monkeypatch):
         from algconn import bounds
 

@@ -181,6 +181,18 @@ class TestGraphType:
         with pytest.raises(ValueError):
             Graph(2, (0b01, 0b10))
 
+    @pytest.mark.parametrize("n,rows,message", [
+        (0, (), "order must be positive"),
+        (3, (0b110, 0b101), "row count"),
+        (2, (0b110, 0b001), "bits outside"),
+        (2, (0b11, 0b01), "self-loop"),
+        (3, (0b010, 0b000, 0b000), "not symmetric"),
+    ])
+    def test_public_constructor_keeps_every_check(self, n, rows, message):
+        # decode builds its rows unchecked; Graph itself still validates.
+        with pytest.raises(ValueError, match=message):
+            Graph(n, rows)
+
     def test_edge_count_is_half_degree_sum(self):
         g = turan(7, 3)
         assert 2 * g.edge_count == sum(g.degrees())

@@ -9,6 +9,8 @@ import pytest
 
 from algconn.graph6 import parse_graph6
 from algconn.graphs import (
+    Graph,
+    canonical_code,
     complement,
     complete_multipartite,
     connected_components,
@@ -120,6 +122,50 @@ class TestGraphTable:
             assert disconnected.tobytes() == np.zeros_like(disconnected).tobytes()
 
 
+class TestClassTable:
+    def test_class_counts_and_weights(self):
+        # Classes: OEIS A000088.  Connected labeled graphs: OEIS A001187.
+        classes = (1, 2, 4, 11, 34, 156, 1044)
+        connected = (1, 1, 4, 38, 728, 26_704, 1_866_256)
+        for n, count, linked in zip(range(1, 8), classes, connected):
+            table = scan_mod._classes(n)
+            assert len(table) == count, n
+            assert sum(table.values()) == 1 << (n * (n - 1) // 2), n
+            assert sum(w for code, w in table.items() if is_connected(decode(n, code))) == linked
+
+    def test_weighted_histogram_matches_labeled_table(self):
+        for n in range(2, 7):
+            classes = scan_mod._class_table(n)
+            labeled = build_graph_table(n)
+            for omega in range(1, n + 1):
+                for linked in (False, True):
+                    rows = (classes.omega == omega) & (classes.connected == linked)
+                    cells = (labeled.omega == omega) & (labeled.connected == linked)
+                    assert classes.weights[rows].sum() == cells.sum(), (n, omega, linked)
+
+    def test_labelings_partition_the_codes(self):
+        # Each class expands to exactly its weight in codes, and the classes
+        # of an order share none and miss none.
+        for n in range(1, 7):
+            classes = scan_mod._classes(n)
+            parts = [scan_mod._labelings(n, code) for code in classes]
+            assert [len(p) for p in parts] == list(classes.values()), n
+            assert all(canonical_code(decode(n, int(p[-1]))) == code
+                       for p, code in zip(parts, classes))
+            codes = np.sort(np.concatenate(parts))
+            assert np.array_equal(codes, np.arange(1 << (n * (n - 1) // 2))), n
+
+    def test_networkx_atlas_oracle(self):
+        nx = pytest.importorskip("networkx")
+        atlas: dict[int, set[int]] = {}
+        for h in nx.graph_atlas_g()[1:]:
+            n = h.number_of_nodes()
+            atlas.setdefault(n, set()).add(canonical_code(Graph.from_edges(n, h.edges())))
+        assert sorted(atlas) == list(range(1, 8))
+        for n, codes in atlas.items():
+            assert sorted(codes) == list(scan_mod._classes(n)), n
+
+
 class TestMaxTheorem:
     def test_divisible_case_unique_turan(self):
         cert = verify_max_theorem(6, 3)
@@ -213,6 +259,21 @@ class TestMaxTheorem:
                 assert from_corpus.source == "corpus:test"
                 from_corpus.source = direct.source
                 assert from_corpus.to_json() == direct.to_json(), (verify.__name__, n, r)
+
+    def test_class_route_matches_labeled_corpus_across_tolerances(self):
+        # The variant of the test above at a looser and a tighter tolerance
+        # (it covers BOUND_TOL): bound verdicts and the join
+        # characterization read tol, and both routes must still agree.
+        for n in range(2, 7):
+            corpus = [decode(n, code) for code in range(1 << (n * (n - 1) // 2))]
+            cases = [(verify_max_theorem, r) for r in range(2, n)]
+            cases += [(verify_min_theorem, r) for r in range(2, n + 1)]
+            for tol in (1e-6, 1e-12):
+                for verify, r in cases:
+                    from_corpus = verify(n, r, tol=tol, corpus=iter(corpus), source="corpus:test")
+                    from_corpus.source = "enumeration"
+                    assert from_corpus.to_json() == verify(n, r, tol=tol).to_json(), (
+                        verify.__name__, n, r, tol)
 
     def test_corpus_input_errors(self):
         with pytest.raises(ValueError, match="no eligible graphs"):

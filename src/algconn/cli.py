@@ -23,7 +23,7 @@ from . import scan as scan_mod
 from . import transforms as transforms_mod
 from .cliques import max_clique
 from .errors import CounterexampleError, Graph6Error, NumericalError
-from .graph6 import parse_graph6, read_corpus, write_graph6
+from .graph6 import parse_graph6, read_codes, read_corpus, write_graph6
 from .graphs import (
     TailedCliqueSpec,
     complete,
@@ -58,7 +58,7 @@ _FAMILIES = {
 def _input_graphs(args):
     """Yield graphs from a positional graph6 argument, stdin, or @file."""
     if args.graph == "-":
-        yield from read_corpus(sys.stdin, strict=args.strict_g6)
+        yield from read_corpus(getattr(sys.stdin, "buffer", sys.stdin), strict=args.strict_g6)
     elif args.graph.startswith("@"):
         yield from read_corpus(args.graph[1:], strict=args.strict_g6)
     else:
@@ -181,7 +181,7 @@ def cmd_extremal(args) -> int:
               else scan_mod.verify_min_theorem)
     common = dict(guard=args.guard, jobs=args.jobs, tol=args.tolerance)
     if args.corpus is not None:
-        common["corpus"] = read_corpus(args.corpus, strict=args.strict_g6)
+        common["corpus"] = read_codes(args.corpus, strict=args.strict_g6)
         common["source"] = f"corpus:{args.corpus}"
     return _report(verify(args.n, args.r, **common), args.format)
 

@@ -13,6 +13,7 @@ class Graph6Error(ValueError):
     """Malformed graph6 input; the message carries the byte/line position."""
 
     def __init__(self, message, offset=None, line=None):
+        self.reason = message
         self.offset = offset
         self.line = line
         where = []

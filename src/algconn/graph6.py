@@ -6,6 +6,11 @@ A record is an order prefix followed by the bits of the graph's integer code
 zero-padded and each byte offset by 63.  The pair order lives in
 graphs.pair_index; this module only frames codes.  Only plain graph6 is
 handled; sparse6 and digraph6 are out of scope.
+
+One line parser, _parse_code, turns a record into its (order, code) pair
+with every check; parse_graph6 decodes that pair into a Graph.  read_codes
+streams a corpus (files are read as bytes) as such pairs, which the corpus
+scans table without building a Graph per record; read_corpus decodes them.
 """
 
 from __future__ import annotations
@@ -15,9 +20,15 @@ import os
 from .errors import Graph6Error
 from .graphs import Graph, decode, encode
 
-__all__ = ["HEADER", "parse_graph6", "write_graph6", "read_corpus"]
+__all__ = ["HEADER", "parse_graph6", "write_graph6", "read_codes", "read_corpus"]
 
 HEADER = ">>graph6<<"
+_HEADER = HEADER.encode()
+#: The bytes a record may hold, 63..126.
+_PRINTABLE = bytes(range(63, 127))
+#: bytes.translate table: a record byte b -> its six bits b - 63 in reverse
+#: order, since graph6 puts a group's first bit highest and a code lowest.
+_REVERSED = bytes(63) + bytes(int(f"{v:06b}"[::-1], 2) for v in range(64)) + bytes(129)
 
 _MAX_N = 258047  # largest order the 4-byte prefix can carry
 
@@ -48,80 +59,98 @@ def parse_graph6(line, strict: bool = True) -> Graph:
     forms of corpus corruption early.  Error offsets index the record after
     the header.
     """
-    if isinstance(line, bytes):
-        try:
-            text = line.decode("ascii")
-        except UnicodeDecodeError as exc:
-            skip = len(HEADER) if line.startswith(HEADER.encode()) else 0
-            raise Graph6Error("non-ASCII byte", offset=exc.start - skip) from None
-    else:
-        text = line
-    text = text.rstrip("\r\n")
-    if text.startswith(HEADER):
-        text = text[len(HEADER):]
-    if not text:
-        raise Graph6Error("empty record")
-    for pos, ch in enumerate(text):
-        if not 63 <= ord(ch) <= 126:
-            raise Graph6Error(f"byte {ord(ch)} outside 63..126", offset=pos)
+    return decode(*_parse_code(line, strict))
 
-    if text[0] == "~":
-        if len(text) >= 2 and text[1] == "~":
+
+def _parse_code(line, strict: bool = True) -> tuple[int, int]:
+    """(order, integer code) of one graph6 line, with parse_graph6's checks."""
+    if isinstance(line, str):
+        if not line.isascii():
+            # Non-ASCII characters lie outside 63..126: report the first out-of-range one.
+            text = line.rstrip("\r\n").removeprefix(HEADER)
+            pos = next(i for i, ch in enumerate(text) if not 63 <= ord(ch) <= 126)
+            raise Graph6Error(f"byte {ord(text[pos])} outside 63..126", offset=pos)
+        line = line.encode()
+    elif not line.isascii():
+        skip = len(_HEADER) if line.startswith(_HEADER) else 0
+        pos = next(i for i, b in enumerate(line) if b > 127)
+        raise Graph6Error("non-ASCII byte", offset=pos - skip)
+    data = line.rstrip(b"\r\n").removeprefix(_HEADER)
+    if not data:
+        raise Graph6Error("empty record")
+    if data.translate(None, _PRINTABLE):
+        pos = next(i for i, b in enumerate(data) if not 63 <= b <= 126)
+        raise Graph6Error(f"byte {data[pos]} outside 63..126", offset=pos)
+
+    if data[0] == 126:  # "~"
+        if data[1:2] == b"~":
             raise Graph6Error("8-byte order prefix not supported", offset=1)
-        if len(text) < 4:
-            raise Graph6Error("truncated order prefix", offset=len(text))
-        n = 0
-        for ch in text[1:4]:
-            n = n << 6 | (ord(ch) - 63)
+        if len(data) < 4:
+            raise Graph6Error("truncated order prefix", offset=len(data))
+        n = (data[1] - 63) << 12 | (data[2] - 63) << 6 | (data[3] - 63)
         start = 4
         if n <= 62:
             raise Graph6Error(f"order {n} must use the 1-byte prefix", offset=0)
     else:
-        n = ord(text[0]) - 63
+        n = data[0] - 63
         start = 1
     if n == 0:
         raise Graph6Error("order 0 not supported", offset=0)
 
-    body = text[start:]
     nbits = n * (n - 1) // 2
     need = (nbits + 5) // 6
-    if len(body) < need:
+    got = len(data) - start
+    if got < need:
         raise Graph6Error(
-            f"bit stream truncated: need {need} bytes, got {len(body)}",
-            offset=len(text),
+            f"bit stream truncated: need {need} bytes, got {got}", offset=len(data)
         )
-    if len(body) > need:
-        raise Graph6Error(f"{len(body) - need} trailing bytes", offset=start + need)
+    if got > need:
+        raise Graph6Error(f"{got - need} trailing bytes", offset=start + need)
 
-    # graph6 bit b (six per byte, most significant first) is code bit b.
-    stream = "".join(format(ord(ch) - 63, "06b") for ch in body)
-    code = int("0" + stream[::-1], 2)
+    # Body byte k carries code bits 6k .. 6k+5; reversed, its lowest bit is bit 6k.
+    # Words of 64 bytes (384 bits) are joined as bytes, so long records stay linear.
+    body = data[start:].translate(_REVERSED)
+    words = []
+    for k in range(0, need, 64):
+        word = 0
+        for bits in reversed(body[k:k + 64]):
+            word = word << 6 | bits
+        words.append(word)
+    if len(words) == 1:
+        code = words[0]
+    else:
+        code = int.from_bytes(b"".join(w.to_bytes(48, "little") for w in words), "little")
     if code >> nbits:
         if strict:
             raise Graph6Error("nonzero padding bits", offset=start + need - 1)
         code &= (1 << nbits) - 1
-    return decode(n, code)
+    return n, code
 
 
-def read_corpus(source, strict: bool = True):
-    """Lazily decode a graph6 corpus: a path, text stream, or iterable of lines.
+def read_codes(source, strict: bool = True):
+    """Lazily parse a graph6 corpus into (order, code) pairs.
 
-    Yields graphs in order; a header on the first line is skipped; blank
-    lines are ignored.  Parse errors are re-raised with the line number.
+    source is a path (read as bytes), a stream, or an iterable of str or
+    bytes lines.  A header on the first line is skipped; blank lines are
+    ignored.  Parse errors are re-raised with the line number.
     """
     if isinstance(source, (str, os.PathLike)):
-        with open(source, "r", encoding="ascii") as handle:
-            yield from read_corpus(handle, strict=strict)
+        with open(source, "rb") as handle:
+            yield from read_codes(handle, strict=strict)
         return
     for lineno, raw in enumerate(source, start=1):
-        if isinstance(raw, bytes):
-            raw = raw.decode("ascii", errors="replace")
         stripped = raw.strip()
         if not stripped:
             continue
-        if lineno == 1 and stripped == HEADER:
+        if lineno == 1 and stripped in (HEADER, _HEADER):
             continue
         try:
-            yield parse_graph6(stripped, strict=strict)
+            yield _parse_code(stripped, strict)
         except Graph6Error as exc:
-            raise Graph6Error(str(exc), line=lineno) from None
+            raise Graph6Error(exc.reason, offset=exc.offset, line=lineno) from None
+
+
+def read_corpus(source, strict: bool = True):
+    """Lazily decode a graph6 corpus into graphs, in order (see read_codes)."""
+    for n, code in read_codes(source, strict=strict):
+        yield decode(n, code)

@@ -12,11 +12,13 @@ order n needs one row per class (1,044 at n = 7, not 2^21 codes), weighted
 by the number of labelings of the class.  The classes are grown order by
 order from the previous order's representatives and keyed by
 graphs.canonical_code; the weights are counted during that growth.  A
-corpus scan tables its codes as given, and the supersaturation check
-tables its pruned candidates (graphs whose complement has bounded maximum
-degree).  build_graph_table still tables every labeled code of an order, as
-an independent labeled route to check the class route against; it
-eigensolves only the lower half of the codes, since code
+corpus scan tables its codes as given: the CLI streams them straight from
+graph6 text (graph6.read_codes), with no Graph per record, and the Python
+API also takes Graphs, encoded once on the way in.  The supersaturation
+check tables its pruned candidates (graphs whose complement has bounded
+maximum degree).  build_graph_table still tables every labeled code of an
+order, as an independent labeled route to check the class route against;
+it eigensolves only the lower half of the codes, since code
 2^(n(n-1)/2) - 1 - c is the complement of code c and the alpha of each
 complement is n - lambda_max (L(G) + L(complement) = nI - J).
 
@@ -288,15 +290,20 @@ def _labelings(n: int, code: int) -> np.ndarray:
 
 
 def _corpus_table(corpus, n: int, jobs: int | None) -> GraphTable:
-    """Invariant table over an iterable of order-n graphs, consumed once, rows in order."""
+    """Invariant table over a corpus of order-n graphs, consumed once, rows in order.
+
+    Each item is a Graph, encoded here, or an (order, code) pair as
+    graph6.read_codes yields, tabled as given.
+    """
     if n > 11:
         raise ValueError(f"corpus order {n} beyond 11: its codes would not fit in 64 bits")
 
     def checked_codes():
-        for g in corpus:
-            if g.n != n:
-                raise ValueError(f"corpus graph of order {g.n}, expected {n}")
-            yield encode(g)
+        for item in corpus:
+            order, code = (item.n, encode(item)) if isinstance(item, Graph) else item
+            if order != n:
+                raise ValueError(f"corpus graph of order {order}, expected {n}")
+            yield code
 
     codes = np.fromiter(checked_codes(), dtype=np.int64)
     return GraphTable(n, *_code_tables(n, codes, jobs), codes)
@@ -416,7 +423,8 @@ def verify_max_theorem(
     that the equality achievers match the characterization: the Turan graph
     alone when n is 0 or r-1 mod r, otherwise a join of empty parts onto a
     sufficiently connected remainder (see check_join_characterization).
-    With a corpus (an iterable of order-n graphs) only its graphs are scanned.
+    With a corpus (an iterable of order-n graphs, or of (order, code) pairs
+    as graph6.read_codes yields) only its graphs are scanned.
     """
     if not 2 <= r < n:
         raise ValueError(f"need 2 <= r < n, got r={r}, n={n}")
@@ -449,7 +457,8 @@ def verify_min_theorem(
 
     Verifies that alpha never drops below the kite graph's value and that
     every equality achiever is isomorphic to the kite.  With a corpus (an
-    iterable of order-n graphs) only its graphs are scanned.
+    iterable of order-n graphs, or of (order, code) pairs as
+    graph6.read_codes yields) only its graphs are scanned.
     """
     if not 2 <= r <= n:
         raise ValueError(f"need 2 <= r <= n, got r={r}, n={n}")

@@ -7,11 +7,23 @@ import subprocess
 import sys
 from pathlib import Path
 
+import numpy as np
 import pytest
 
+from algconn import cli as cli_mod
+from algconn import scan as scan_mod
 from algconn.cli import build_parser, main
 from algconn.graph6 import parse_graph6, write_graph6
-from algconn.graphs import complete, complete_multipartite, is_isomorphic, kite, turan
+from algconn.graphs import (
+    canonical_code,
+    complete,
+    complete_multipartite,
+    decode,
+    is_isomorphic,
+    kite,
+    relabel,
+    turan,
+)
 
 
 def run_cli(capsys, *argv):
@@ -317,6 +329,115 @@ class TestScan:
         code, out, _ = run_cli(capsys, "--format", "json", "--lenient-g6", "clique", "A`")
         assert code == 0
         assert json.loads(out)["omega"] == 2
+
+
+def _write_lines(path, lines):
+    path.write_text("".join(line + "\n" for line in lines))
+    return str(path)
+
+
+class TestCorpusErrors:
+    """Bad corpora keep their messages and exit 2; the first bad line wins."""
+
+    GOOD4 = write_graph6(complete(4))
+    ORDER5 = write_graph6(complete(5))
+
+    def test_order_mismatch(self, capsys, tmp_path):
+        corpus = _write_lines(tmp_path / "mixed.g6", [self.GOOD4, self.ORDER5])
+        code, out, err = run_cli(capsys, "scan", "max", "4", "2", "--corpus", corpus)
+        assert (code, out, err) == (2, "", "error: corpus graph of order 5, expected 4\n")
+
+    @pytest.mark.parametrize("action", ["max", "min"])
+    def test_order_above_eleven_is_refused_before_any_line_is_read(
+        self, capsys, tmp_path, action
+    ):
+        for corpus in (str(tmp_path / "missing.g6"), _write_lines(tmp_path / "bad.g6", ["B\x1e"])):
+            code, out, err = run_cli(capsys, "scan", action, "12", "3", "--corpus", corpus)
+            assert (code, out) == (2, "")
+            assert err == "error: corpus order 12 beyond 11: its codes would not fit in 64 bits\n"
+
+    def test_malformed_line_before_mismatch_wins(self, capsys, tmp_path):
+        corpus = _write_lines(tmp_path / "c.g6", [self.GOOD4, "Bw?", self.ORDER5])
+        code, _, err = run_cli(capsys, "scan", "max", "4", "2", "--corpus", corpus)
+        assert (code, err) == (2, "graph6 error: 1 trailing bytes (line 2, byte 2)\n")
+
+    def test_mismatch_before_malformed_line_wins(self, capsys, tmp_path):
+        corpus = _write_lines(tmp_path / "c.g6", [self.GOOD4, self.ORDER5, "Bw?"])
+        code, _, err = run_cli(capsys, "scan", "min", "4", "3", "--corpus", corpus)
+        assert (code, err) == (2, "error: corpus graph of order 5, expected 4\n")
+
+    def test_non_ascii_corpus_names_line_and_byte(self, capsys, tmp_path):
+        corpus = tmp_path / "latin1.g6"
+        corpus.write_bytes(self.GOOD4.encode() + b"\nC\xe9\n")
+        for argv in (("scan", "max", "4", "2", "--corpus", str(corpus)),
+                     ("clique", f"@{corpus}")):
+            code, _, err = run_cli(capsys, *argv)
+            assert (code, err) == (2, "graph6 error: non-ASCII byte (line 2, byte 1)\n")
+
+    @pytest.mark.parametrize("argv, message", [
+        (("max", "4", "7"), "need 2 <= r < n, got r=7, n=4"),
+        (("min", "4", "5"), "need 2 <= r <= n, got r=5, n=4"),
+    ])
+    def test_bad_r_is_reported_before_a_bad_corpus(self, capsys, tmp_path, argv, message):
+        for corpus in (str(tmp_path / "missing.g6"), _write_lines(tmp_path / "bad.g6", ["B\x1e"])):
+            code, _, err = run_cli(capsys, "scan", *argv, "--corpus", corpus)
+            assert (code, err) == (2, f"error: {message}\n")
+
+
+class TestCorpusRoute:
+    """The CLI corpus scan tables graph6 codes directly: no Graph per record."""
+
+    @staticmethod
+    def _order8_corpus(size=1000, seed=10):
+        rng = np.random.default_rng(seed)
+        targets = (turan(8, 3), kite(8, 3))
+        graphs = []
+        for i in range(size):
+            if i % 50 < 2:  # plant relabeled extremal graphs among random ones
+                graphs.append(relabel(targets[i % 50], rng.permutation(8)))
+            else:
+                graphs.append(decode(8, int(rng.integers(0, 1 << 28))))
+        return graphs
+
+    @pytest.mark.parametrize("action", ["max", "min"])
+    def test_cli_scan_parses_no_graph_and_matches_the_api(
+        self, capsys, tmp_path, monkeypatch, action
+    ):
+        import algconn.graph6 as graph6_mod
+        import algconn.graphs as graphs_mod
+
+        graphs = self._order8_corpus()
+        corpus = _write_lines(tmp_path / "order8.g6", [write_graph6(g) for g in graphs])
+        verify = scan_mod.verify_max_theorem if action == "max" else scan_mod.verify_min_theorem
+        expected = verify(8, 3, corpus=graphs, source=f"corpus:{corpus}").to_json() + "\n"
+
+        calls = {"parse_graph6": 0, "decode": 0}
+
+        def counted(name, fn):
+            def wrapper(*args, **kwargs):
+                calls[name] += 1
+                return fn(*args, **kwargs)
+            return wrapper
+
+        parse_counted = counted("parse_graph6", graph6_mod.parse_graph6)
+        for module in (graph6_mod, cli_mod):
+            monkeypatch.setattr(module, "parse_graph6", parse_counted)
+        decode_counted = counted("decode", graphs_mod.decode)
+        for module in (graphs_mod, graph6_mod, scan_mod):
+            monkeypatch.setattr(module, "decode", decode_counted)
+        code, out, _ = run_cli(capsys, "--format", "json", "scan", action, "8", "3",
+                               "--corpus", corpus)
+        monkeypatch.undo()
+
+        assert code == 0
+        assert out == expected
+        cert = json.loads(out)
+        assert cert["counterexamples"] == []
+        # decode builds only the achievers: one Graph per corpus line in an achiever's class.
+        classes = {canonical_code(parse_graph6(a)) for a in cert["achievers"]}
+        achiever_lines = sum(canonical_code(g) in classes for g in graphs)
+        assert achiever_lines >= 20  # the planted ones
+        assert calls == {"parse_graph6": 0, "decode": achiever_lines}
 
 
 class TestEntryPoint:

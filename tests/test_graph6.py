@@ -4,8 +4,35 @@ import numpy as np
 import pytest
 
 from algconn.errors import Graph6Error
-from algconn.graph6 import HEADER, parse_graph6, read_corpus, write_graph6
-from algconn.graphs import complete, decode, empty, pair_index, path
+from algconn.graph6 import (
+    HEADER,
+    _parse_code,
+    parse_graph6,
+    read_codes,
+    read_corpus,
+    write_graph6,
+)
+from algconn.graphs import complete, decode, empty, encode, pair_index, path
+
+#: Records every reader must reject, as (record, message, offset after the header).
+MALFORMED = [
+    ("B" + chr(30), "byte 30 outside 63..126", 1),
+    ("A`", "nonzero padding bits", 1),  # padding bit in the body byte, not the order byte
+    ("D", "bit stream truncated: need 2 bytes, got 0", 1),  # reported at the record's end
+    ("Bw?", "1 trailing bytes", 2),  # follows the order byte and one body byte
+    ("~~?????B" + "?" * 100, "8-byte order prefix not supported", 1),
+    ("?", "order 0 not supported", 0),
+    ("~??~" + "?" * 325 + "@", "nonzero padding bits", 329),  # order 63: 1953 bits, 3 padding
+    ("~??~" + "?" * 327, "1 trailing bytes", 330),
+    (b"B\xff", "non-ASCII byte", 1),
+]
+MALFORMED_IDS = ["range", "padding", "truncated", "trailing", "eight-byte", "order-zero",
+                 "long-padding", "long-trailing", "non-ascii"]
+
+
+def _seeded_order8_lines(seed=8, size=500):
+    rng = np.random.default_rng(seed)
+    return [write_graph6(decode(8, int(c))) for c in rng.integers(0, 1 << 28, size=size)]
 
 
 class TestKnownStrings:
@@ -98,26 +125,52 @@ class TestErrors:
         with pytest.raises(Graph6Error):
             parse_graph6("?")
 
-    @pytest.mark.parametrize(
-        "record, offset",
-        [
-            ("A`", 1),  # padding bit in the body byte, not the order byte
-            ("Bw?", 2),  # the trailing byte follows order byte and one body byte
-            ("D", 1),  # truncation is reported at the end of the record
-            ("B\x1e", 1),
-            ("~??~" + "?" * 325 + "@", 329),  # order 63: 1953 bits, 3 padding bits
-            ("~??~" + "?" * 327, 330),
-            (b"B\xff", 1),
-        ],
-        ids=["padding", "trailing", "truncated", "range", "long-padding",
-             "long-trailing", "non-ascii"],
-    )
-    def test_offsets_index_the_record_after_the_header(self, record, offset):
+    @pytest.mark.parametrize("record, message, offset", MALFORMED, ids=MALFORMED_IDS)
+    def test_offsets_index_the_record_after_the_header(self, record, message, offset):
         header = HEADER.encode() if isinstance(record, bytes) else HEADER
         for line in (record, header + record):
             with pytest.raises(Graph6Error) as exc:
                 parse_graph6(line)
-            assert exc.value.offset == offset
+            assert (exc.value.reason, exc.value.offset) == (message, offset)
+
+    @pytest.mark.parametrize("record, message, offset", MALFORMED, ids=MALFORMED_IDS)
+    def test_both_readers_raise_the_same_error(self, record, message, offset):
+        as_bytes = record if isinstance(record, bytes) else record.encode()
+        for line in {record, as_bytes}:
+            with pytest.raises(Graph6Error) as graph_exc:
+                parse_graph6(line)
+            with pytest.raises(Graph6Error) as code_exc:
+                _parse_code(line)
+            assert str(graph_exc.value) == str(code_exc.value)
+            assert code_exc.value.offset == offset
+        # In a corpus the record sits on line 2, after a good one.
+        lines = [b"Bw\n", as_bytes + b"\n"]
+        for reader in (read_corpus, read_codes):
+            with pytest.raises(Graph6Error) as exc:
+                list(reader(lines))
+            assert (exc.value.reason, exc.value.line, exc.value.offset) == (message, 2, offset)
+            assert str(exc.value) == f"{message} (line 2, byte {offset})"
+
+    def test_non_ascii_byte_is_one_error_everywhere(self, tmp_path):
+        corpus = tmp_path / "latin1.g6"
+        corpus.write_bytes(b"Bw\nB\xe9\n")
+        lines = [b"Bw", b"B\xe9"]
+        for reader in (read_corpus, read_codes):
+            for source in (corpus, str(corpus), lines, iter(lines)):
+                with pytest.raises(Graph6Error) as exc:
+                    list(reader(source))
+                assert str(exc.value) == "non-ASCII byte (line 2, byte 1)"
+        with pytest.raises(Graph6Error, match=r"^non-ASCII byte \(byte 1\)$"):
+            parse_graph6(b"B\xe9")
+
+    def test_empty_record_has_no_offset(self):
+        for reader in (parse_graph6, _parse_code):
+            with pytest.raises(Graph6Error) as exc:
+                reader("")
+            assert (str(exc.value), exc.value.offset) == ("empty record", None)
+        # A bare header after the first line leaves an empty record.
+        with pytest.raises(Graph6Error, match=r"^empty record \(line 2\)$"):
+            list(read_codes(["Bw", HEADER]))
 
 
 class TestCorpus:
@@ -157,6 +210,51 @@ class TestCorpus:
 
     def test_accepts_iterable_of_lines(self):
         assert list(read_corpus(["Bw", "", "Bg"])) == [complete(3), path(3)]
+
+
+class TestCodeReader:
+    """The code reader must agree with decoding and re-encoding every record."""
+
+    def test_matches_encode_parse_for_every_graph_up_to_order_six(self):
+        for n in range(1, 7):
+            for code in range(1 << (n * (n - 1) // 2)):
+                line = write_graph6(decode(n, code))
+                g = parse_graph6(line)
+                assert _parse_code(line) == _parse_code(line.encode()) == (g.n, encode(g))
+                assert (g.n, encode(g)) == (n, code)
+
+    def test_matches_encode_parse_on_a_seeded_order8_corpus(self, tmp_path):
+        lines = _seeded_order8_lines()
+        expected = [(8, encode(parse_graph6(line))) for line in lines]
+        assert [_parse_code(line) for line in lines] == expected
+        corpus = tmp_path / "order8.g6"
+        corpus.write_text("\n".join(lines) + "\n")
+        assert list(read_codes(corpus)) == expected
+        assert [(g.n, encode(g)) for g in read_corpus(corpus)] == expected
+
+    def test_headers_blank_lines_and_crlf(self, tmp_path):
+        lines = _seeded_order8_lines(seed=9, size=50) + ["Bw", "@", write_graph6(empty(63))]
+        expected = [(g.n, encode(g)) for g in map(parse_graph6, lines)]
+        text = (HEADER + "\r\n" + "\r\n".join(lines[:10]) + "\r\n\r\n  \r\n"
+                + "\n".join(HEADER + line for line in lines[10:30]) + "\n\n"
+                + "\r\n".join(lines[30:]) + "\r\n")
+        corpus = tmp_path / "mixed.g6"
+        corpus.write_bytes(text.encode())
+        for source in (corpus, text.splitlines(keepends=True),
+                       text.encode().splitlines(keepends=True)):
+            assert list(read_codes(source)) == expected
+            assert [(g.n, encode(g)) for g in read_corpus(source)] == expected
+
+    def test_lenient_mode_masks_padding(self):
+        assert _parse_code("A`", strict=False) == (2, 1)
+        assert list(read_codes(["A`"], strict=False)) == [(2, 1)]
+
+    def test_long_records_match_the_writer(self):
+        rng = np.random.default_rng(21)
+        for n in (12, 28, 29, 63, 100, 300):
+            nbits = n * (n - 1) // 2
+            code = int.from_bytes(rng.bytes(nbits // 8 + 1), "little") % (1 << nbits)
+            assert _parse_code(write_graph6(decode(n, code))) == (n, code)
 
 
 def test_networkx_oracle_agrees_on_bit_order():

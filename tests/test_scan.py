@@ -280,6 +280,29 @@ class TestMaxTheorem:
             verify_max_theorem(4, 2, corpus=[])
         with pytest.raises(ValueError, match="order 5, expected 4"):
             verify_max_theorem(4, 2, corpus=[path(4), turan(5, 2)])
+        with pytest.raises(ValueError, match="order 5, expected 4"):
+            verify_max_theorem(4, 2, corpus=[(4, 0), (5, 0)])
+
+    def test_code_pairs_and_graphs_give_identical_certificates(self):
+        graphs = [decode(5, code) for code in range(1 << 10)]
+        pairs = [(5, code) for code in range(1 << 10)]
+        for verify, r in ((verify_max_theorem, 3), (verify_min_theorem, 3)):
+            assert (verify(5, r, corpus=iter(pairs)).to_json()
+                    == verify(5, r, corpus=iter(graphs)).to_json())
+
+    @pytest.mark.parametrize("verify, n, r, message", [
+        (verify_max_theorem, 4, 4, "need 2 <= r < n"),
+        (verify_min_theorem, 4, 5, "need 2 <= r <= n"),
+        (verify_max_theorem, 12, 3, "corpus order 12 beyond 11"),
+        (verify_min_theorem, 12, 3, "corpus order 12 beyond 11"),
+    ])
+    def test_argument_errors_come_before_any_corpus_item_is_read(self, verify, n, r, message):
+        def unread():
+            raise AssertionError("corpus read")
+            yield
+
+        with pytest.raises(ValueError, match=message):
+            verify(n, r, corpus=unread())
 
 
 class TestMinTheorem:

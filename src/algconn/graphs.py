@@ -10,6 +10,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
+import numpy as np
+
 __all__ = [
     "Graph",
     "TailedCliqueSpec",
@@ -41,6 +43,7 @@ __all__ = [
     "min_degree",
     "vertex_connectivity",
     "canonical_code",
+    "canonical_codes",
     "is_isomorphic",
 ]
 
@@ -478,57 +481,146 @@ def _split_flow(g: Graph, s: int, t: int, limit: int) -> int:
 # Isomorphism
 # ---------------------------------------------------------------------------
 
-def _refine(g: Graph, colors) -> list[int]:
-    """Coarsest equitable refinement of a vertex colouring.
+#: Graphs per canonical search in canonical_codes.  The search's (batch, n, n)
+#: int64 arrays grow with it: 128 KiB each for 256 graphs of order 8.
+_CANONICAL_BATCH = 256
 
-    Each round splits the colour classes by the neighbour counts of their
-    vertices in every class.  Colours come back as 0..k-1, ranked by
-    isomorphism-invariant keys.
+
+def _dense_rank(keys: np.ndarray) -> np.ndarray:
+    """Rank of each key among the keys of its row, densely from 0.
+
+    keys is (rows, n, d); keys compare lexicographically along the last axis.
     """
-    classes = -1
-    while True:
-        masks = {}
-        for v, c in enumerate(colors):
-            masks[c] = masks.get(c, 0) | 1 << v
-        order = [masks[c] for c in sorted(masks)]
-        keys = [(c, *[(row & m).bit_count() for m in order]) for c, row in zip(colors, g.rows)]
-        palette = {key: i for i, key in enumerate(sorted(set(keys)))}
-        if len(palette) == classes:
-            return colors
-        classes = len(palette)
-        colors = [palette[key] for key in keys]
+    rows, n, d = keys.shape
+    flat = keys.reshape(rows * n, d)
+    order = np.lexsort((*flat.T[::-1], np.repeat(np.arange(rows), n)))
+    ranked = flat[order]
+    new = np.ones(rows * n, dtype=np.int64)
+    new[1:] = (ranked[1:] != ranked[:-1]).any(axis=1)
+    new[::n] = 1
+    rank = np.cumsum(new).reshape(rows, n)
+    out = np.empty(rows * n, dtype=np.int64)
+    out[order] = (rank - rank[:, :1]).ravel()
+    return out.reshape(rows, n)
+
+
+def _equitable(adj: np.ndarray, colors: np.ndarray) -> np.ndarray:
+    """Coarsest equitable refinement of each row's vertex colouring.
+
+    Row k colours the graph adj[k] with colours below 2n.  Each round ranks
+    every vertex by its key: its colour, then its neighbour count in each
+    colour class.  A row is done when a round gains it no class.  Colours
+    come back as 0..c-1, ranked by isomorphism-invariant keys.
+
+    Key digits are below base 2n, so each run of `width` digits packs into
+    one int64 word that compares as the run does, and a vertex's count
+    digits are one product: adj @ (the place value of each neighbour's
+    colour digit).
+    """
+    n = adj.shape[1]
+    base, width = 2 * n, 1
+    while base ** (width + 1) < 1 << 63:
+        width += 1
+    words = (2 * n + width) // width  # digit t = 0 (colour), 1 + c (count in colour c)
+    digit = np.arange(words * width)
+    place = np.zeros((words * width, words), dtype=np.int64)
+    place[digit, digit // width] = base ** (width - 1 - digit % width)
+    colors = colors.copy()
+    classes = np.full(len(colors), -1)
+    active = np.arange(len(colors))
+    while len(active):
+        old = colors[active]
+        keys = adj[active] @ place[1 + old, :(old.max() + 1 + width) // width]
+        keys[:, :, 0] += place[0, 0] * old
+        refined = _dense_rank(keys)
+        count = refined.max(axis=1)
+        colors[active] = refined
+        grew = count != classes[active]
+        classes[active] = count
+        active = active[grew]
+    return colors
+
+
+def _canonical_words(adj: np.ndarray) -> np.ndarray:
+    """Canonical code of each graph in an (m, n, n) 0/1 int64 adjacency batch.
+
+    Row k holds the code of adj[k] in int64 words of 63 bits, least
+    significant word first.
+
+    Individualization-refinement (McKay & Piperno, J. Symbolic Comput. 60,
+    2014), one search level of the whole batch at a time.  Each search row
+    is a graph with a colouring, refined to equitable.  Twins (same
+    neighbours apart from each other) are swapped by an automorphism, so a
+    row whose colour classes are all twin classes is a leaf: its code is
+    the adjacency bits after ordering the vertices by (colour, vertex).
+    Any other row splits the first colour class that is not a twin class:
+    one child per twin class in it, colouring that class's least vertex 2c
+    and the rest 2c+1.  Each graph keeps its least leaf code, compared as
+    an integer (highest bit first).
+    """
+    m, n, _ = adj.shape
+    i, j = np.array(pairs(n), dtype=np.intp).reshape(-1, 2).T
+    deg = adj.sum(axis=2)
+    # Rows u and v differ off {u, v} in (Hamming distance - 2 adj[u, v]) places.
+    twins = deg[:, :, None] + deg[:, None, :] - 2 * (adj @ adj) == 2 * adj
+    graph = np.arange(m)
+    colors = np.zeros((m, n), dtype=np.int64)
+    owners, leaves = [], []
+    while len(graph):
+        colors = _equitable(adj[graph], colors)
+        same = colors[:, :, None] == colors[:, None, :]
+        # The least vertex of each vertex's class, and of its twin class
+        # within that class.  Being twins is an equivalence relation, so a
+        # class is a twin class iff the two agree on all its vertices, and
+        # the vertices that are their own least twin are one per twin class.
+        first = same.argmax(axis=1)
+        least_twin = (same & twins[graph]).argmax(axis=1)
+        clean = least_twin == first
+        leaf = clean.all(axis=1)
+        order = np.argsort(colors[leaf], axis=1, kind="stable")
+        owners.append(graph[leaf])
+        leaves.append(adj[graph[leaf][:, None], order[:, i], order[:, j]])
+        colors, graph, clean, least_twin = (
+            a[~leaf] for a in (colors, graph, clean, least_twin))
+        split = np.where(clean, n, colors).min(axis=1)
+        row, w = np.nonzero((colors == split[:, None]) & (least_twin == np.arange(n)))
+        colors = 2 * colors[row] + (np.arange(n) != w[:, None])
+        graph = graph[row]
+    owner = np.concatenate(owners)
+    bits = np.concatenate(leaves)
+    size = len(i)  # code bits
+    words = np.stack([bits[:, a:a + 63] @ (np.int64(1) << np.arange(min(63, size - a)))
+                      for a in range(0, max(size, 1), 63)], axis=1)
+    best = np.lexsort((*words.T, owner))
+    return words[best[np.unique(owner[best], return_index=True)[1]]]
+
+
+def canonical_codes(n: int, codes: np.ndarray) -> np.ndarray:
+    """Canonical code of each order-n graph code (n <= 11), in batches.
+
+    Each batch of _CANONICAL_BATCH graphs is one search (_canonical_words);
+    the batch size bounds its memory and does not change any code.
+    """
+    codes = np.asarray(codes, dtype=np.int64)
+    out = np.empty(len(codes), dtype=np.int64)
+    for start in range(0, len(codes), _CANONICAL_BATCH):
+        chunk = codes[start:start + _CANONICAL_BATCH]
+        adj = np.zeros((len(chunk), n, n), dtype=np.int64)
+        for b, (i, j) in enumerate(pairs(n)):
+            adj[:, i, j] = adj[:, j, i] = chunk >> b & 1
+        out[start:start + len(chunk)] = _canonical_words(adj)[:, 0]
+    return out
 
 
 def canonical_code(g: Graph) -> int:
     """Integer code that is equal exactly for isomorphic graphs of one order.
 
-    Individualization-refinement (McKay & Piperno, J. Symbolic Comput. 60,
-    2014): refine, individualize each vertex of the first colour class that
-    is not a twin class in turn, recurse, and keep the least leaf code.
-    Twins (same neighbours apart from each other) are swapped by an
-    automorphism, so one vertex per twin class is tried, and a colouring
-    whose classes are all twin classes is a leaf with ties broken by vertex
-    index.  Intended for small orders (n <= 10 or so); large twin-free
-    vertex-transitive graphs still get the exact code, just slowly.
+    The one-graph batch of _canonical_words, at any order.  Intended for
+    small orders (n <= 10 or so); large twin-free vertex-transitive graphs
+    still get the exact code, just slowly.
     """
-    def twins(u: int, v: int) -> bool:
-        return g.rows[u] & ~(1 << v) == g.rows[v] & ~(1 << u)
-
-    def search(colors: list[int]) -> int:
-        cells: dict[int, list[int]] = {}
-        for v, c in enumerate(colors):
-            cells.setdefault(c, []).append(v)
-        split = next((cell for _, cell in sorted(cells.items())
-                      if not all(twins(cell[0], v) for v in cell[1:])), None)
-        if split is None:
-            order = sorted(range(g.n), key=lambda v: (colors[v], v))
-            return sum(1 << b for b, (i, j) in enumerate(pairs(g.n))
-                       if g.rows[order[i]] >> order[j] & 1)
-        reps = [w for i, w in enumerate(split) if not any(twins(w, u) for u in split[:i])]
-        return min(search(_refine(g, [2 * c + (v != w) for v, c in enumerate(colors)]))
-                   for w in reps)
-
-    return search(_refine(g, [0] * g.n))
+    adj = np.array([[[row >> u & 1 for u in range(g.n)] for row in g.rows]], dtype=np.int64)
+    return sum(int(word) << 63 * k for k, word in enumerate(_canonical_words(adj)[0]))
 
 
 def is_isomorphic(g1: Graph, g2: Graph) -> bool:

@@ -8,16 +8,17 @@ the result, one row per code.
 
 The max/min scans by enumeration run over isomorphism classes instead: the
 omega, alpha and connectivity of a graph do not depend on its labeling, so
-order n needs one row per class (1,044 at n = 7, not 2^21 codes), weighted
-by the number of labelings of the class.  The classes are grown order by
-order from the previous order's representatives and keyed by
-graphs.canonical_code; the weights are counted during that growth.  A
-corpus scan tables its codes as given: the CLI streams them straight from
-graph6 text (graph6.read_codes), with no Graph per record, and the Python
-API also takes Graphs, encoded once on the way in.  The supersaturation
+order n needs one row per class (1,044 at n = 7, not 2^21 codes; 12,346 at
+n = 8, the highest order enumerated), weighted by the number of labelings
+of the class.  The classes are grown order by order from the previous
+order's representatives and keyed in batches by graphs.canonical_codes;
+the weights are counted during that growth.  A corpus scan tables its
+codes as given: the CLI streams them straight from graph6 text
+(graph6.read_codes), with no Graph per record, and the Python API also
+takes Graphs, encoded once on the way in.  The supersaturation
 check tables its pruned candidates (graphs whose complement has bounded
 maximum degree).  build_graph_table still tables every labeled code of an
-order, as an independent labeled route to check the class route against;
+order up to 7, as an independent labeled route to check the class route against;
 it eigensolves only the lower half of the codes, since code
 2^(n(n-1)/2) - 1 - c is the complement of code c and the alpha of each
 complement is n - lambda_max (L(G) + L(complement) = nI - J).
@@ -48,7 +49,7 @@ from .cliques import contains_complete_multipartite, is_kr_free
 from .graph6 import write_graph6
 from .graphs import (
     Graph,
-    canonical_code,
+    canonical_codes,
     complement,
     connected_components,
     decode,
@@ -212,16 +213,6 @@ def _code_tables(n: int, codes: np.ndarray, jobs: int | None, paired: bool = Fal
     return table
 
 
-def _check_enumerable(n: int) -> None:
-    if n < 2:
-        raise ValueError(f"table needs order >= 2, got {n}")
-    if n > 7:
-        raise ValueError(
-            f"full table for order {n} would hold 2^{n * (n - 1) // 2} codes; "
-            "use corpus mode beyond order 7"
-        )
-
-
 def build_graph_table(n: int, jobs: int | None = None) -> GraphTable:
     """Compute (or fetch from cache) the full invariant table for order n.
 
@@ -229,7 +220,13 @@ def build_graph_table(n: int, jobs: int | None = None) -> GraphTable:
     gives the complementary code's row, whose alpha (n - lambda_max) can
     differ from a direct solve in the last bits (about 1e-14).
     """
-    _check_enumerable(n)
+    if n < 2:
+        raise ValueError(f"table needs order >= 2, got {n}")
+    if n > 7:
+        raise ValueError(
+            f"full table for order {n} would hold 2^{n * (n - 1) // 2} codes; "
+            "use corpus mode beyond order 7"
+        )
     cached = _TABLE_CACHE.get(n)
     if cached is not None:
         return cached
@@ -248,9 +245,11 @@ def _classes(n: int) -> MappingProxyType:
     """The isomorphism classes of order n: canonical code -> labelings, by code.
 
     Order n grows from the order n-1 representatives: the new vertex n-1
-    takes each of its 2^(n-1) neighbour sets, and each result is keyed by
-    graphs.canonical_code (the growth of McKay, "Isomorph-free exhaustive
-    generation", J. Algorithms 26, 1998, without its canonical augmentation).
+    takes each of its 2^(n-1) neighbour sets, and all the (parent, neighbour
+    set) children are keyed by one graphs.canonical_codes call, which
+    searches them in fixed batches (the growth of McKay, "Isomorph-free
+    exhaustive generation", J. Algorithms 26, 1998, without its canonical
+    augmentation).  Order 7 keys 9,984 children, order 8 133,632.
     Each labeled order-n graph is exactly one labeled order-(n-1) graph plus
     one neighbour set of vertex n-1, and relabeling a parent maps its
     neighbour sets onto those of the same classes.  So a class's labelings
@@ -260,12 +259,13 @@ def _classes(n: int) -> MappingProxyType:
     if n == 1:
         return MappingProxyType({0: 1})
     shift = (n - 1) * (n - 2) // 2  # bit offset of column n-1 in a code
-    weights: dict[int, int] = {}
-    for parent, weight in _classes(n - 1).items():
-        for column in range(1 << (n - 1)):
-            key = canonical_code(decode(n, parent | column << shift))
-            weights[key] = weights.get(key, 0) + weight
-    return MappingProxyType(dict(sorted(weights.items())))
+    parents = _classes(n - 1)
+    columns = np.arange(1 << (n - 1), dtype=np.int64) << shift
+    children = (np.fromiter(parents, np.int64, len(parents))[:, None] | columns).ravel()
+    keys, owner = np.unique(canonical_codes(n, children), return_inverse=True)
+    weights = np.zeros(len(keys), dtype=np.int64)
+    np.add.at(weights, owner, np.repeat(np.fromiter(parents.values(), np.int64), len(columns)))
+    return MappingProxyType(dict(zip(keys.tolist(), weights.tolist())))
 
 
 def _class_table(n: int) -> GraphTable:
@@ -350,7 +350,13 @@ def _scan_input(n: int, guard: int, jobs: int | None, corpus, source: str):
         raise ValueError(
             f"order {n} exceeds the enumeration guard {guard}; supply a corpus"
         )
-    _check_enumerable(n)
+    if n > 8:
+        # Order n has at least the 12,346 classes of order 8, each grown by
+        # 2^(n-1) neighbour sets.
+        raise ValueError(
+            f"order {n} would key at least {12_346 << (n - 1):,} grown graphs, "
+            "against 133,632 at order 8; supply a corpus beyond order 8"
+        )
     return _class_table(n), "enumeration"
 
 
@@ -388,12 +394,11 @@ def _extremal_scan(
         counterexamples.append(
             {"graph6": write_graph6(target), "alpha": bound, "reason": "extremum-mismatch"}
         )
-    classes: dict[int, Graph] = {}
     # Each row's first labeling; labeled rows of one class share a canonical code.
-    for code in hit[np.sort(np.unique(owner, return_index=True)[1])]:
-        g = decode(table.n, int(code))
-        classes.setdefault(canonical_code(g), g)
-    reps = list(classes.values())
+    firsts = hit[np.sort(np.unique(owner, return_index=True)[1])]
+    keys = canonical_codes(table.n, firsts)
+    reps = [decode(table.n, int(code))
+            for code in firsts[np.sort(np.unique(keys, return_index=True)[1])]]
     failing = [g for g in reps if not achieves(g)]
     counterexamples += [_counterexample(g, "characterization-failed") for g in failing[:20]]
     return ExtremalCertificate(

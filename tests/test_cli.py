@@ -307,6 +307,18 @@ class TestScan:
         assert code == 2
         assert "guard" in err
 
+    @pytest.mark.parametrize("action", ["max", "min"])
+    def test_order_eight_enumerates_classes_under_guard_eight(self, capsys, action):
+        code, out, _ = run_cli(capsys, "--guard", "8", "--format", "json",
+                               "scan", action, "8", "3")
+        assert code == 0
+        assert json.loads(out)["source"] == "enumeration"
+
+    def test_order_nine_refusal_names_the_cost(self, capsys):
+        code, _, err = run_cli(capsys, "--guard", "9", "scan", "min", "9", "3")
+        assert code == 2
+        assert "3,160,576 grown graphs" in err
+
     def test_deficient_corpus_exits_one(self, capsys, tmp_path):
         # A corpus missing the extremal graph cannot exhibit the predicted
         # extremum; the certificate records that and the exit code is 1.
@@ -433,11 +445,12 @@ class TestCorpusRoute:
         assert out == expected
         cert = json.loads(out)
         assert cert["counterexamples"] == []
-        # decode builds only the achievers: one Graph per corpus line in an achiever's class.
+        # decode builds only the achievers: one Graph per achiever class, though
+        # every corpus line in an achiever's class is keyed.
         classes = {canonical_code(parse_graph6(a)) for a in cert["achievers"]}
         achiever_lines = sum(canonical_code(g) in classes for g in graphs)
         assert achiever_lines >= 20  # the planted ones
-        assert calls == {"parse_graph6": 0, "decode": achiever_lines}
+        assert calls == {"parse_graph6": 0, "decode": len(classes)}
 
 
 class TestEntryPoint:

@@ -338,7 +338,7 @@ class TestIsomorphism:
                 list(g1.edges()), list(g2.edges()))
 
     def test_twin_rules_keep_symmetric_graphs_cheap(self, monkeypatch):
-        # Most refinements each search may run, as the two twin rules allow.
+        # Most search rows each search may refine, as the two twin rules allow.
         # Without one vertex per twin class, turan(40, 2) needs 41 and 5K2
         # 2,491; without twin-class leaves, empty(40) needs 40 and 5K2 326.
         petersen = Graph.from_edges(10, [(i, (i + 1) % 5) for i in range(5)]
@@ -347,15 +347,15 @@ class TestIsomorphism:
         five_k2 = complement(complete_multipartite(2, 2, 2, 2, 2))
         cases = [(empty(40), 1), (complete(40), 1), (turan(40, 2), 3),
                  (petersen, 191), (five_k2, 206)]
-        refine = graphs._refine
-        calls = []
-        monkeypatch.setattr(graphs, "_refine",
-                            lambda g, colors: calls.append(g) or refine(g, colors))
+        refine = graphs._equitable
+        rows = []
+        monkeypatch.setattr(graphs, "_equitable",
+                            lambda adj, colors: rows.append(len(colors)) or refine(adj, colors))
         start = time.perf_counter()
         for g, most in cases:
-            calls.clear()
+            rows.clear()
             canonical_code(g)
-            assert len(calls) <= most, (g.n, len(calls))
+            assert sum(rows) <= most, (g.n, sum(rows))
         assert time.perf_counter() - start < 1.0
 
 

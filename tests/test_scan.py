@@ -1,5 +1,6 @@
 """Scan-module tests: tables, certificates, characterizations, trends."""
 
+import hashlib
 import json
 from fractions import Fraction
 from itertools import combinations
@@ -11,6 +12,7 @@ from algconn.graph6 import parse_graph6
 from algconn.graphs import (
     Graph,
     canonical_code,
+    canonical_codes,
     complement,
     complete_multipartite,
     connected_components,
@@ -32,7 +34,7 @@ from algconn.scan import (
     verify_min_theorem,
     verify_supersaturation,
 )
-from algconn.spectra import BOUND_TOL
+from algconn.spectra import BOUND_TOL, EQUALITY_TOL
 
 class TestEnumeration:
     def test_order_three(self):
@@ -155,6 +157,41 @@ class TestClassTable:
             codes = np.sort(np.concatenate(parts))
             assert np.array_equal(codes, np.arange(1 << (n * (n - 1) // 2))), n
 
+    @pytest.mark.parametrize("n, codes, weights", [
+        (6, "be48e59e2e1cab13588217815167b414b1ebbc7c939c5d9b837fc8454f6ce7fa",
+         "c915f66f3d39875da377133d0a5e19b625a63f4e3a85897cc924d04a2d935baa"),
+        (7, "537ad7442f7ff6303372d1b4354c8d33c44a1c3767a2c0f73f9db3f8ecf2dec2",
+         "516b112fd69db3767a4e4a3086b0771d3adf4669674a0916ae8165369528a07a"),
+    ])
+    def test_canonical_form_is_pinned(self, n, codes, weights):
+        # sha256 of the class codes and weights as little-endian int64, in
+        # dict order: any change to the canonical form changes them.
+        classes = scan_mod._classes(n)
+        digest = lambda values: hashlib.sha256(
+            np.fromiter(values, "<i8", len(classes)).tobytes()).hexdigest()
+        assert digest(classes) == codes
+        assert digest(classes.values()) == weights
+
+    def test_batch_size_does_not_change_keys(self, monkeypatch):
+        import algconn.graphs as graphs_mod
+
+        rng = np.random.default_rng(8)
+        for n in (6, 7, 8):
+            codes = rng.integers(0, 1 << (n * (n - 1) // 2), 300)
+            monkeypatch.setattr(graphs_mod, "_CANONICAL_BATCH", 512)
+            keys = canonical_codes(n, codes)
+            monkeypatch.setattr(graphs_mod, "_CANONICAL_BATCH", 1)
+            assert np.array_equal(canonical_codes(n, codes), keys), n
+            assert keys.tolist() == [canonical_code(decode(n, int(c))) for c in codes], n
+
+    def test_order_eight_classes(self):
+        # A000088 (12,346 classes), every labeling once, A001187 connected.
+        classes = scan_mod._classes(8)
+        table = scan_mod._class_table(8)
+        assert len(classes) == 12_346
+        assert sum(classes.values()) == 1 << 28
+        assert int(table.weights[table.connected].sum()) == 251_548_592
+
     def test_networkx_atlas_oracle(self):
         nx = pytest.importorskip("networkx")
         atlas: dict[int, set[int]] = {}
@@ -233,6 +270,17 @@ class TestMaxTheorem:
             verify_max_theorem(5, 5)
         with pytest.raises(ValueError):
             verify_max_theorem(8, 3)  # beyond guard without corpus
+        with pytest.raises(ValueError, match="3,160,576 grown graphs"):
+            verify_max_theorem(9, 3, guard=9)  # beyond the class route
+        with pytest.raises(ValueError, match="use corpus mode beyond order 7"):
+            build_graph_table(8)
+
+    def test_order_eight_unique_turan(self):
+        cert = verify_max_theorem(8, 3, guard=8)
+        assert cert.ok and cert.source == "enumeration"
+        assert cert.achieved == pytest.approx(5, abs=EQUALITY_TOL)
+        assert len(cert.achievers) == 1
+        assert is_isomorphic(parse_graph6(cert.achievers[0]), turan(8, 3))
 
     def test_certificate_json_round_trip(self):
         cert = verify_max_theorem(5, 3)
@@ -311,6 +359,13 @@ class TestMinTheorem:
         assert cert.ok
         assert len(cert.achievers) == 1
         assert is_isomorphic(parse_graph6(cert.achievers[0]), kite(5, 3))
+
+    def test_order_eight_kite(self):
+        cert = verify_min_theorem(8, 3, guard=8)
+        assert cert.ok and cert.source == "enumeration"
+        assert abs(cert.achieved - 0.1667170082) <= EQUALITY_TOL
+        assert len(cert.achievers) == 1
+        assert is_isomorphic(parse_graph6(cert.achievers[0]), kite(8, 3))
 
     def test_path_case(self):
         cert = verify_min_theorem(6, 2)

@@ -1,27 +1,38 @@
-"""Golden certificates: every max and min scan for 3 <= n <= 7, byte for byte.
+"""Golden certificates: every max and min scan for 3 <= n <= 7, and a set of
+supersaturation reports up to order 9, byte for byte.
 
 The files under golden/ hold the certificate JSON of each exhaustive scan,
-one file per (mode, n, r), with a trailing newline.  Any change to the
-scans' arithmetic, filtering, dedup or serialization shows up here.
+one file per (mode, n, r) or per supersat (n, r, k, epsilon), with a
+trailing newline.  Any change to the scans' arithmetic, filtering, dedup or
+serialization shows up here.
 """
 
 from pathlib import Path
 
 import pytest
 
-from algconn.scan import verify_max_theorem, verify_min_theorem
+from algconn.scan import verify_max_theorem, verify_min_theorem, verify_supersaturation
 
 GOLDEN = Path(__file__).parent / "golden"
 
 CASES = [("max", n, r) for n in range(3, 8) for r in range(2, n)] + [
     ("min", n, r) for n in range(3, 8) for r in range(2, n + 1)
 ]
+#: (n, r, k, epsilon, guard); (6, 2, 4) has k*r > n, so every qualifying graph violates.
+SUPERSAT_CASES = [
+    (6, 2, 2, 0.1, 7),
+    (6, 2, 4, 0.1, 7),
+    (7, 3, 1, 0.05, 7),
+    (8, 2, 2, 0.05, 8),
+    (9, 2, 2, 0.3, 9),
+]
 
 
 def test_every_case_has_a_golden_file():
     assert len(CASES) == 35
     assert sorted(p.name for p in GOLDEN.glob("*.json")) == sorted(
-        f"{mode}_{n}_{r}.json" for mode, n, r in CASES
+        [f"{mode}_{n}_{r}.json" for mode, n, r in CASES]
+        + [f"supersat_{n}_{r}_{k}_{eps}.json" for n, r, k, eps, _ in SUPERSAT_CASES]
     )
 
 
@@ -30,3 +41,10 @@ def test_certificate_matches_golden_bytes(mode, n, r):
     verify = verify_max_theorem if mode == "max" else verify_min_theorem
     expected = (GOLDEN / f"{mode}_{n}_{r}.json").read_bytes()
     assert (verify(n, r).to_json() + "\n").encode() == expected
+
+
+@pytest.mark.parametrize("n,r,k,epsilon,guard", SUPERSAT_CASES)
+def test_supersaturation_matches_golden_bytes(n, r, k, epsilon, guard):
+    expected = (GOLDEN / f"supersat_{n}_{r}_{k}_{epsilon}.json").read_bytes()
+    report = verify_supersaturation(n, r, k, epsilon, guard=guard)
+    assert (report.to_json() + "\n").encode() == expected

@@ -194,7 +194,7 @@ def cmd_trend(args) -> int:
 
 def cmd_supersat(args) -> int:
     report = scan_mod.verify_supersaturation(
-        args.n, args.r, args.k, args.epsilon, guard=args.guard, jobs=args.jobs
+        args.n, args.r, args.k, args.epsilon, guard=args.guard
     )
     return _report(report, args.format)
 
@@ -241,9 +241,9 @@ def build_parser() -> argparse.ArgumentParser:
     )
     parser.add_argument(
         "--jobs", default=None, type=_checked(int, lambda v: v >= 1, "jobs must be >= 1"),
-        help="worker threads for the labeled table kernel behind corpus scans and "
-        "supersat (default: machine parallelism); enumerating max/min scans solve "
-        "at most 1,044 class representatives in one call and use none",
+        help="worker threads for the labeled table kernel behind corpus scans "
+        "(default: machine parallelism); enumerating max/min scans and supersat "
+        "solve their isomorphism classes' representatives in one call and use none",
     )
     parser.add_argument("--format", choices=("json", "csv", "table"), default="table")
     parser.add_argument("--strict-g6", dest="strict_g6", action="store_true", default=True)

@@ -6,20 +6,21 @@ One chunked, threaded numpy kernel computes clique number, algebraic
 connectivity and connectivity flags over a code array; a GraphTable holds
 the result, one row per code.
 
-The max/min scans by enumeration run over isomorphism classes instead: the
-omega, alpha and connectivity of a graph do not depend on its labeling, so
-order n needs one row per class (1,044 at n = 7, not 2^21 codes; 12,346 at
-n = 8, the highest order enumerated), weighted by the number of labelings
-of the class.  The classes are grown order by order from the previous
-order's representatives and keyed in batches by graphs.canonical_codes;
-the weights are counted during that growth.  A corpus scan tables its
-codes as given: the CLI streams them straight from graph6 text
-(graph6.read_codes), with no Graph per record, and the Python API also
-takes Graphs, encoded once on the way in.  The supersaturation
-check tables its pruned candidates (graphs whose complement has bounded
-maximum degree).  build_graph_table still tables every labeled code of an
-order up to 7, as an independent labeled route to check the class route against;
-it eigensolves only the lower half of the codes, since code
+The max/min scans by enumeration and the supersaturation check run over
+isomorphism classes instead: the omega, alpha and connectivity of a graph do
+not depend on its labeling, so order n needs one row per class (1,044 at
+n = 7, not 2^21 codes; 12,346 at n = 8, the highest order the max/min scans
+enumerate), weighted by the number of labelings of the class.  The classes
+are grown order by order from the previous order's representatives and
+keyed in batches by graphs.canonical_codes; the weights are counted during
+that growth.  The supersaturation check grows only the classes of bounded
+maximum degree (the complements of its pruned candidates), which reaches
+order 9.  A corpus scan tables its codes as given: the CLI streams them
+straight from graph6 text (graph6.read_codes), with no Graph per record,
+and the Python API also takes Graphs, encoded once on the way in.
+build_graph_table still tables every labeled code of an order up to 7, as
+an independent labeled route to check the class route against; it
+eigensolves only the lower half of the codes, since code
 2^(n(n-1)/2) - 1 - c is the complement of code c and the alpha of each
 complement is n - lambda_max (L(G) + L(complement) = nI - J).
 
@@ -40,7 +41,7 @@ import os
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import asdict, dataclass
 from fractions import Fraction
-from itertools import combinations, permutations, product
+from itertools import combinations, permutations
 from types import MappingProxyType
 
 import numpy as np
@@ -86,8 +87,6 @@ DEFAULT_GUARD = 7
 
 #: Codes per kernel call; each thread's chunk holds a (_CHUNK, n, n) Laplacian batch.
 _CHUNK = 1 << 12
-#: Most pruned supersaturation candidates tabled at once: as many codes as the n=7 table.
-_MAX_CANDIDATES = 1 << 21
 _TABLE_CACHE: dict[int, "GraphTable"] = {}
 
 
@@ -98,8 +97,7 @@ class GraphTable:
     Row i holds the graph with code codes[i]; codes is None for the full
     enumeration, where row i holds code i.  Without weights each row is one
     labeled graph.  With weights each row is one isomorphism class:
-    codes[i] is its canonical code and weights[i] the number of its
-    labelings.
+    codes[i] is one of its labelings and weights[i] the number of them.
     """
 
     n: int
@@ -117,16 +115,17 @@ class GraphTable:
         """The graph in one row of the table."""
         return decode(self.n, int(row if self.codes is None else self.codes[row]))
 
-    def labeled(self, rows: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    def labeled(self, rows: np.ndarray, first: int | None = None) -> tuple[np.ndarray, np.ndarray]:
         """(codes, owner): the labeled graphs in these rows, in scan order.
 
         Labeled rows keep their order.  Class rows expand to every labeling
-        of their class, sorted by code, as a scan over all codes meets them.
-        owner[i] is the row that codes[i] belongs to.
+        of their class, or to the `first` lowest codes of it, sorted by code,
+        as a scan over all codes meets them.  owner[i] is the row that
+        codes[i] belongs to.
         """
         if self.weights is None:
             return (rows if self.codes is None else self.codes[rows]), rows
-        parts = [_labelings(self.n, int(self.codes[row])) for row in rows]
+        parts = [_labelings(self.n, int(self.codes[row]))[:first] for row in rows]
         codes = np.concatenate([np.zeros(0, np.int64), *parts])
         order = np.argsort(codes)
         return codes[order], np.repeat(rows, [len(p) for p in parts])[order]
@@ -241,9 +240,10 @@ def clear_table_cache() -> None:
 
 
 @functools.cache
-def _classes(n: int) -> MappingProxyType:
+def _classes(n: int, dcap: int | None = None) -> MappingProxyType:
     """The isomorphism classes of order n: canonical code -> labelings, by code.
 
+    With dcap, only the classes of maximum degree <= dcap; None means all.
     Order n grows from the order n-1 representatives: the new vertex n-1
     takes each of its 2^(n-1) neighbour sets, and all the (parent, neighbour
     set) children are keyed by one graphs.canonical_codes call, which
@@ -255,16 +255,29 @@ def _classes(n: int) -> MappingProxyType:
     neighbour sets onto those of the same classes.  So a class's labelings
     number the sum of its parent classes' labelings over the (parent,
     neighbour set) pairs that land in it: no automorphism group is counted.
+    A degree cap keeps that exact, because deleting a vertex raises no
+    degree: the capped graphs grow from the capped parents alone, and only
+    the children within the cap (a neighbour set of at most dcap vertices,
+    each still below dcap in the parent) are keyed.
     """
     if n == 1:
         return MappingProxyType({0: 1})
     shift = (n - 1) * (n - 2) // 2  # bit offset of column n-1 in a code
-    parents = _classes(n - 1)
+    parents = _classes(n - 1, dcap)
     columns = np.arange(1 << (n - 1), dtype=np.int64) << shift
     children = (np.fromiter(parents, np.int64, len(parents))[:, None] | columns).ravel()
+    inherited = np.repeat(np.fromiter(parents.values(), np.int64), len(columns))
+    if dcap is not None:
+        degree = np.zeros((n, len(children)), np.int64)
+        for b, (i, j) in enumerate(pairs(n)):
+            bit = children >> b & 1
+            degree[i] += bit
+            degree[j] += bit
+        within = degree.max(axis=0) <= dcap
+        children, inherited = children[within], inherited[within]
     keys, owner = np.unique(canonical_codes(n, children), return_inverse=True)
     weights = np.zeros(len(keys), dtype=np.int64)
-    np.add.at(weights, owner, np.repeat(np.fromiter(parents.values(), np.int64), len(columns)))
+    np.add.at(weights, owner, inherited)
     return MappingProxyType(dict(zip(keys.tolist(), weights.tolist())))
 
 
@@ -388,7 +401,7 @@ def _extremal_scan(
     achieved = float(exact.max() if mode == "max" else exact.min())
     counterexamples = [
         _counterexample(decode(table.n, int(code)), reason)
-        for code in table.labeled(np.nonzero(eligible & beyond)[0])[0][:20]
+        for code in table.labeled(np.nonzero(eligible & beyond)[0], first=20)[0][:20]
     ]
     if abs(achieved - bound) > EQUALITY_TOL:
         counterexamples.append(
@@ -528,8 +541,8 @@ class SupersaturationReport:
     Every graph of order n with alpha >= n - ceil(n/r) + epsilon*n must
     contain the complete r-partite graph with parts of size k (as a
     subgraph).  graphs_scanned is the full labeled space the verdict covers;
-    candidates_examined counts the graphs that actually had alpha evaluated
-    (the rest are excluded by a sound spectral bound, see source).
+    candidates_examined counts the labeled graphs the sound spectral prune
+    leaves (see source), whose isomorphism classes had alpha evaluated.
     """
 
     n: int
@@ -555,43 +568,6 @@ class SupersaturationReport:
         return json.dumps(self.to_dict(), indent=2)
 
 
-def _bounded_degree_codes(n: int, dcap: int) -> np.ndarray:
-    """Codes of all labeled graphs of order n with maximum degree <= dcap.
-
-    The codes grow one vertex (one code column) at a time: vertex j joins a
-    set of at most dcap earlier vertices whose degree is still below dcap.
-    Each step is counted before it is built, and a count above
-    _MAX_CANDIDATES is refused with a ValueError: every graph of order j
-    extends to order n by isolated vertices, so the final count is no
-    smaller.  Codes come in depth-first order over the pairs, an absent edge
-    before a present one.
-    """
-    codes = np.zeros(1, dtype=np.int64)
-    deg = [np.zeros(1, dtype=np.uint8)]
-    for j in range(1, n):
-        # Columns of at most dcap bits, depth-first (bit 0 decides first).
-        cols = np.array(
-            [sum(b << i for i, b in enumerate(bits))
-             for bits in product((0, 1), repeat=j) if sum(bits) <= dcap],
-            dtype=np.int64,
-        )
-        # fits[a, k]: column k joins only vertices in the open-vertex mask a.
-        fits = (cols & ~np.arange(1 << j)[:, None]) == 0
-        avail = sum((d < dcap).astype(np.int64) << i for i, d in enumerate(deg))
-        if int(fits.sum(axis=1)[avail].sum()) > _MAX_CANDIDATES:
-            raise ValueError(
-                f"more than {_MAX_CANDIDATES:,} candidates at order {n} with "
-                f"complement max degree <= {dcap}; raise epsilon to prune harder"
-            )
-        # Row-major nonzeros: each code's extensions in turn, columns in order.
-        src, pick = np.nonzero(fits[avail])
-        if j < n - 1:
-            bits = [(cols >> i & 1).astype(np.uint8) for i in range(j)]
-            deg = [d[src] + b[pick] for d, b in zip(deg, bits)] + [sum(bits)[pick]]
-        codes = codes[src] | (cols << pair_index(0, j))[pick]
-    return codes
-
-
 def verify_supersaturation(
     n: int,
     r: int,
@@ -599,15 +575,18 @@ def verify_supersaturation(
     epsilon: float,
     *,
     guard: int = DEFAULT_GUARD,
-    jobs: int | None = None,
 ) -> SupersaturationReport:
     """Desk-scale supersaturation check over all labeled graphs of order n.
 
     The scan stays exhaustive at every order 2..9 via a sound prune:
     alpha(G) = n - lambda_1(complement), and lambda_1 >= max degree + 1 for
     any graph with an edge, so only graphs whose complement has max degree
-    <= n - threshold - 1 can qualify.  Those complements are enumerated as
-    codes, and their graphs are tabled in code order by the threaded kernel.
+    <= dcap = n - threshold - 1 can qualify.  Those complements are grown
+    as isomorphism classes (_classes(n, dcap)), and one batched kernel call
+    tables their graphs, one row per class.  Counts are weighted by the
+    classes' labelings, and each violating class lists all its labelings, so
+    the report is the one a scan over every labeled candidate in code order
+    would give.
     """
     if r < 2 or k < 1:
         raise ValueError(f"need r >= 2 and k >= 1, got r={r}, k={k}")
@@ -627,20 +606,22 @@ def verify_supersaturation(
     parts = [k] * r
     total = 1 << (n * (n - 1) // 2)
     dcap = max(int(n - threshold - 1 + STRICT_TOL), 0)
-    codes = (total - 1) ^ _bounded_degree_codes(n, dcap)
-    codes.sort()
-    table = GraphTable(n, *_code_tables(n, codes, jobs), codes)
+    classes = _classes(n, dcap)
+    codes = (total - 1) ^ np.fromiter(classes, np.int64, len(classes))
+    weights = np.fromiter(classes.values(), np.int64, len(classes))
+    table = GraphTable(n, *_chunk_tables(n, codes), codes, weights)
 
     hit = np.nonzero(table.alpha >= threshold - STRICT_TOL)[0]
-    violations = [
-        write_graph6(g)
-        for g in map(table.graph, hit)
-        if g.n < k * r or not contains_complete_multipartite(g, parts)
-    ]
+    failing = np.array([
+        row for row in hit
+        if n < k * r or not contains_complete_multipartite(table.graph(row), parts)
+    ], dtype=np.int64)
+    qualifying = int(weights[hit].sum())
     return SupersaturationReport(
         n=n, r=r, k=k, epsilon=epsilon, threshold=threshold, parts=parts,
-        qualifying=len(hit), violations=violations,
-        vacuous=len(hit) == 0, graphs_scanned=total,
-        candidates_examined=table.size,
+        qualifying=qualifying,
+        violations=[write_graph6(decode(n, int(code))) for code in table.labeled(failing)[0]],
+        vacuous=qualifying == 0, graphs_scanned=total,
+        candidates_examined=int(weights.sum()),
         source=f"pruned-enumeration (complement max degree <= {dcap})",
     )

@@ -319,6 +319,12 @@ class TestScan:
         assert code == 2
         assert "3,160,576 grown graphs" in err
 
+    def test_supersat_answers_order_nine(self, capsys):
+        code, out, _ = run_cli(capsys, "--guard", "9", "--format", "json",
+                               "scan", "supersat", "9", "2", "2", "0.05")
+        assert code == 0
+        assert json.loads(out)["candidates_examined"] == 160_054_952
+
     def test_deficient_corpus_exits_one(self, capsys, tmp_path):
         # A corpus missing the extremal graph cannot exhibit the predicted
         # extremum; the certificate records that and the exit code is 1.

@@ -194,13 +194,18 @@ class TestClassTable:
 
     def test_networkx_atlas_oracle(self):
         nx = pytest.importorskip("networkx")
-        atlas: dict[int, set[int]] = {}
+        atlas: dict[int, list[tuple[int, int]]] = {}  # order -> (max degree, code)
         for h in nx.graph_atlas_g()[1:]:
             n = h.number_of_nodes()
-            atlas.setdefault(n, set()).add(canonical_code(Graph.from_edges(n, h.edges())))
+            top = max(d for _, d in h.degree())
+            atlas.setdefault(n, []).append(
+                (top, canonical_code(Graph.from_edges(n, h.edges()))))
         assert sorted(atlas) == list(range(1, 8))
-        for n, codes in atlas.items():
-            assert sorted(codes) == list(scan_mod._classes(n)), n
+        for n, graphs in atlas.items():
+            assert sorted(code for _, code in graphs) == list(scan_mod._classes(n)), n
+            for dcap in range(n):
+                capped = sorted(code for top, code in graphs if top <= dcap)
+                assert capped == list(scan_mod._classes(n, dcap)), (n, dcap)
 
 
 class TestMaxTheorem:
@@ -385,6 +390,39 @@ class TestMinTheorem:
         assert cert.ok
         assert is_isomorphic(parse_graph6(cert.achievers[0]), kite(4, 3))
 
+    def test_counterexamples_expand_at_most_twenty_labelings_per_class(self, monkeypatch):
+        from algconn.graph6 import write_graph6
+
+        # Every eligible order-6 class is beyond the bound: the certificate
+        # lists the labeled oracle's first 20, without expanding whole classes.
+        n, r = 6, 3
+        table = scan_mod._class_table(n)
+        eligible = (table.omega == r) & table.connected
+        expanded = []
+        real = scan_mod.GraphTable.labeled
+
+        def spy(self, rows, first=None):
+            codes, owner = real(self, rows, first)
+            expanded.append((len(rows), np.unique(owner, return_counts=True)[1].max()))
+            return codes, owner
+
+        monkeypatch.setattr(scan_mod.GraphTable, "labeled", spy)
+        target = kite(n, r)
+        cert = scan_mod._extremal_scan(
+            table, r, "min", bound=scan_mod.algebraic_connectivity(target),
+            eligible=eligible, beyond=eligible, reason="bound-undershot", target=target,
+            achieves=lambda g: is_isomorphic(g, target), source="enumeration",
+        )
+        labeled = build_graph_table(n)
+        oracle = np.nonzero((labeled.omega == r) & labeled.connected)[0][:20]
+        assert [c["graph6"] for c in cert.counterexamples] == [
+            write_graph6(decode(n, int(code))) for code in oracle]
+        # The listing call covers every eligible row and takes at most 20
+        # labelings from each, far fewer than those rows' labelings in all.
+        rows = int(eligible.sum())
+        assert [most for count, most in expanded if count == rows] == [20]
+        assert 20 * rows < int(table.weights[eligible].sum())
+
 
 def _join_form_brute(g, n, r, tol=BOUND_TOL):
     """The theorem's join form read literally, without complement components.
@@ -549,10 +587,11 @@ class TestSupersaturation:
         assert rep.graphs_scanned == 1 << 28
         assert rep.candidates_examined == 152_219
 
-    def test_bounded_degree_codes_are_complete(self):
-        from algconn import scan
+    def test_capped_classes_match_a_labeled_count(self):
         from algconn.graphs import pair_index
 
+        # Under every degree cap, the classes and their weights are the
+        # canonical codes of the capped labeled graphs and how often each occurs.
         for n in range(1, 7):
             codes = np.arange(1 << (n * (n - 1) // 2), dtype=np.int64)
             deg = np.zeros((n, len(codes)), dtype=np.int64)
@@ -561,14 +600,12 @@ class TestSupersaturation:
                     bit = (codes >> pair_index(i, j)) & 1
                     deg[i] += bit
                     deg[j] += bit
-            # Depth-first order over the pairs: bit 0 decides first, absent before present.
-            nbits = n * (n - 1) // 2
-            walk = sorted(range(len(codes)), key=lambda c: format(c, f"0{nbits}b")[::-1])
+            keys = canonical_codes(n, codes)
             for dcap in range(n):
-                pruned = scan._bounded_degree_codes(n, dcap)
-                assert pruned.dtype == np.int64
-                assert np.array_equal(np.sort(pruned), codes[deg.max(axis=0) <= dcap])
-                assert pruned.tolist() == [c for c in walk if deg[:, c].max() <= dcap]
+                within = deg.max(axis=0) <= dcap
+                found, counts = np.unique(keys[within], return_counts=True)
+                classes = scan_mod._classes(n, dcap)
+                assert dict(classes) == dict(zip(found.tolist(), counts.tolist())), (n, dcap)
 
     def test_pruned_route_empty_complement(self):
         # dcap 0: only the empty complement, i.e. the complete graph, is a candidate.
@@ -577,22 +614,21 @@ class TestSupersaturation:
         assert rep.qualifying == rep.candidates_examined == 1
         assert rep.source.endswith("complement max degree <= 0)")
 
-    def test_pruned_route_order_nine_is_deterministic(self, monkeypatch):
-        from algconn import scan
-
-        monkeypatch.setattr(scan, "_CHUNK", 256)  # force 11 chunks
-        reports = [
-            verify_supersaturation(9, 2, 2, 0.3, guard=9, jobs=jobs) for jobs in (1, 4)
-        ]
+    def test_pruned_route_order_nine_is_deterministic(self):
+        reports = [verify_supersaturation(9, 2, 2, 0.3, guard=9) for _ in range(2)]
         # Every candidate qualifies, so graphs are decoded from codes above 2^31.
         assert reports[0].qualifying == reports[0].candidates_examined == 2620
         assert reports[0].ok
         assert reports[0].to_json() == reports[1].to_json()
 
-    def test_pruned_route_refuses_too_many_candidates(self):
-        # Any epsilon below 1/9 prunes order 9 only to complement max degree 3.
-        with pytest.raises(ValueError, match=r"more than 2,097,152 candidates .* <= 3;"):
-            verify_supersaturation(9, 2, 2, 0.05, guard=9)
+    def test_pruned_route_order_nine_answers(self):
+        # Any epsilon below 1/9 prunes order 9 only to complement max degree 3:
+        # 1,165 classes standing for 160,054,952 labeled candidates.
+        rep = verify_supersaturation(9, 2, 2, 0.05, guard=9)
+        assert rep.ok
+        assert rep.candidates_examined == 160_054_952
+        assert rep.qualifying == 22_244_552
+        assert rep.source.endswith("complement max degree <= 3)")
 
     def test_guard_refusal(self):
         with pytest.raises(ValueError):

@@ -1,4 +1,4 @@
-"""Golden certificates: every max and min scan for 3 <= n <= 7, and a set of
+"""Golden certificates: every max and min scan for 3 <= n <= 8, and a set of
 supersaturation reports up to order 9, byte for byte.
 
 The files under golden/ hold the certificate JSON of each exhaustive scan,
@@ -15,8 +15,8 @@ from algconn.scan import verify_max_theorem, verify_min_theorem, verify_supersat
 
 GOLDEN = Path(__file__).parent / "golden"
 
-CASES = [("max", n, r) for n in range(3, 8) for r in range(2, n)] + [
-    ("min", n, r) for n in range(3, 8) for r in range(2, n + 1)
+CASES = [("max", n, r) for n in range(3, 9) for r in range(2, n)] + [
+    ("min", n, r) for n in range(3, 9) for r in range(2, n + 1)
 ]
 #: (n, r, k, epsilon, guard); (6, 2, 4) has k*r > n, so every qualifying graph violates.
 SUPERSAT_CASES = [
@@ -29,7 +29,7 @@ SUPERSAT_CASES = [
 
 
 def test_every_case_has_a_golden_file():
-    assert len(CASES) == 35
+    assert len(CASES) == 48
     assert sorted(p.name for p in GOLDEN.glob("*.json")) == sorted(
         [f"{mode}_{n}_{r}.json" for mode, n, r in CASES]
         + [f"supersat_{n}_{r}_{k}_{eps}.json" for n, r, k, eps, _ in SUPERSAT_CASES]
@@ -40,7 +40,7 @@ def test_every_case_has_a_golden_file():
 def test_certificate_matches_golden_bytes(mode, n, r):
     verify = verify_max_theorem if mode == "max" else verify_min_theorem
     expected = (GOLDEN / f"{mode}_{n}_{r}.json").read_bytes()
-    assert (verify(n, r).to_json() + "\n").encode() == expected
+    assert (verify(n, r, guard=8).to_json() + "\n").encode() == expected
 
 
 @pytest.mark.parametrize("n,r,k,epsilon,guard", SUPERSAT_CASES)

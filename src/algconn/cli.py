@@ -180,10 +180,11 @@ def cmd_extremal(args) -> int:
     verify = (scan_mod.verify_max_theorem if args.action == "max"
               else scan_mod.verify_min_theorem)
     common = dict(guard=args.guard, jobs=args.jobs, tol=args.tolerance)
-    if args.corpus is not None:
-        common["corpus"] = read_codes(args.corpus, strict=args.strict_g6)
-        common["source"] = f"corpus:{args.corpus}"
-    return _report(verify(args.n, args.r, **common), args.format)
+    if args.corpus is None:
+        return _report(verify(args.n, args.r, **common), args.format)
+    cert = verify(args.n, args.r, corpus=read_codes(args.corpus, strict=args.strict_g6), **common)
+    cert.source = f"corpus:{args.corpus}"
+    return _report(cert, args.format)
 
 
 def cmd_trend(args) -> int:

@@ -7,10 +7,10 @@ zero-padded and each byte offset by 63.  The pair order lives in
 graphs.pair_index; this module only frames codes.  Only plain graph6 is
 handled; sparse6 and digraph6 are out of scope.
 
-One line parser, _parse_code, turns a record into its (order, code) pair
-with every check; parse_graph6 decodes that pair into a Graph.  read_codes
-streams a corpus (files are read as bytes) as such pairs, which the corpus
-scans table without building a Graph per record; read_corpus decodes them.
+One line parser, _parse_code, turns a record, bytes or str (read as its
+UTF-8 bytes), into its (order, code) pair with every check; parse_graph6
+decodes that pair into a Graph.  read_codes streams a corpus as such pairs,
+as the CLI's corpus scans read it; read_corpus decodes them.
 """
 
 from __future__ import annotations
@@ -26,9 +26,8 @@ HEADER = ">>graph6<<"
 _HEADER = HEADER.encode()
 #: The bytes a record may hold, 63..126.
 _PRINTABLE = bytes(range(63, 127))
-#: bytes.translate table: a record byte b -> its six bits b - 63 in reverse
-#: order, since graph6 puts a group's first bit highest and a code lowest.
-_REVERSED = bytes(63) + bytes(int(f"{v:06b}"[::-1], 2) for v in range(64)) + bytes(129)
+#: A record byte b -> the six bits of b - 63, written last bit first.
+_SIX_BITS = [""] * 63 + [f"{v:06b}"[::-1] for v in range(64)]
 
 _MAX_N = 258047  # largest order the 4-byte prefix can carry
 
@@ -65,13 +64,8 @@ def parse_graph6(line, strict: bool = True) -> Graph:
 def _parse_code(line, strict: bool = True) -> tuple[int, int]:
     """(order, integer code) of one graph6 line, with parse_graph6's checks."""
     if isinstance(line, str):
-        if not line.isascii():
-            # Non-ASCII characters lie outside 63..126: report the first out-of-range one.
-            text = line.rstrip("\r\n").removeprefix(HEADER)
-            pos = next(i for i, ch in enumerate(text) if not 63 <= ord(ch) <= 126)
-            raise Graph6Error(f"byte {ord(text[pos])} outside 63..126", offset=pos)
-        line = line.encode()
-    elif not line.isascii():
+        line = line.encode("utf-8", "surrogatepass")
+    if not line.isascii():
         skip = len(_HEADER) if line.startswith(_HEADER) else 0
         pos = next(i for i, b in enumerate(line) if b > 127)
         raise Graph6Error("non-ASCII byte", offset=pos - skip)
@@ -107,19 +101,9 @@ def _parse_code(line, strict: bool = True) -> tuple[int, int]:
     if got > need:
         raise Graph6Error(f"{got - need} trailing bytes", offset=start + need)
 
-    # Body byte k carries code bits 6k .. 6k+5; reversed, its lowest bit is bit 6k.
-    # Words of 64 bytes (384 bits) are joined as bytes, so long records stay linear.
-    body = data[start:].translate(_REVERSED)
-    words = []
-    for k in range(0, need, 64):
-        word = 0
-        for bits in reversed(body[k:k + 64]):
-            word = word << 6 | bits
-        words.append(word)
-    if len(words) == 1:
-        code = words[0]
-    else:
-        code = int.from_bytes(b"".join(w.to_bytes(48, "little") for w in words), "little")
+    # Body byte k holds code bits 6k .. 6k+5 from its high bit down, so bytes and
+    # bits read last first spell the code in binary (int parses base 2 in linear time).
+    code = int("0" + "".join([_SIX_BITS[b] for b in reversed(data[start:])]), 2)
     if code >> nbits:
         if strict:
             raise Graph6Error("nonzero padding bits", offset=start + need - 1)

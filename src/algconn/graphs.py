@@ -112,7 +112,7 @@ def _trusted(n: int, rows: tuple[int, ...]) -> Graph:
     """A Graph from rows valid by construction, skipping __post_init__'s checks.
 
     Only for rows built symmetric, loop-free and inside 0..n-1 by this
-    package (decode, the class generator); outside input goes through Graph.
+    package (decode); outside input goes through Graph.
     """
     g = object.__new__(Graph)
     object.__setattr__(g, "n", n)

@@ -94,9 +94,8 @@ _TABLE_CACHE: dict[int, "GraphTable"] = {}
 class GraphTable:
     """Per-row invariants over graphs of one order.
 
-    Row i holds the graph with code codes[i]; codes is None for the full
-    enumeration, where row i holds code i.  Without weights each row is one
-    labeled graph.  With weights each row is one isomorphism class:
+    Row i holds the graph with code codes[i].  Without weights each row is
+    one labeled graph.  With weights each row is one isomorphism class:
     codes[i] is one of its labelings and weights[i] the number of them.
     """
 
@@ -104,7 +103,7 @@ class GraphTable:
     omega: np.ndarray      # uint8
     alpha: np.ndarray      # float64; exactly 0.0 for disconnected codes
     connected: np.ndarray  # bool
-    codes: np.ndarray | None = None  # int64
+    codes: np.ndarray      # int64
     weights: np.ndarray | None = None  # int64
 
     @property
@@ -113,7 +112,7 @@ class GraphTable:
 
     def graph(self, row: int) -> Graph:
         """The graph in one row of the table."""
-        return decode(self.n, int(row if self.codes is None else self.codes[row]))
+        return decode(self.n, int(self.codes[row]))
 
     def labeled(self, rows: np.ndarray, first: int | None = None) -> tuple[np.ndarray, np.ndarray]:
         """(codes, owner): the labeled graphs in these rows, in scan order.
@@ -124,7 +123,7 @@ class GraphTable:
         codes[i] belongs to.
         """
         if self.weights is None:
-            return (rows if self.codes is None else self.codes[rows]), rows
+            return self.codes[rows], rows
         parts = [_labelings(self.n, int(self.codes[row]))[:first] for row in rows]
         codes = np.concatenate([np.zeros(0, np.int64), *parts])
         order = np.argsort(codes)
@@ -229,8 +228,8 @@ def build_graph_table(n: int, jobs: int | None = None) -> GraphTable:
     cached = _TABLE_CACHE.get(n)
     if cached is not None:
         return cached
-    half = np.arange(1 << (n * (n - 1) // 2 - 1), dtype=np.int64)
-    table = GraphTable(n, *_code_tables(n, half, jobs, paired=True))
+    codes = np.arange(1 << (n * (n - 1) // 2), dtype=np.int64)
+    table = GraphTable(n, *_code_tables(n, codes[:len(codes) // 2], jobs, paired=True), codes)
     _TABLE_CACHE[n] = table
     return table
 
@@ -289,16 +288,24 @@ def _class_table(n: int) -> GraphTable:
     return GraphTable(n, *_chunk_tables(n, codes), codes, weights)
 
 
-def _labelings(n: int, code: int) -> np.ndarray:
-    """Sorted codes of every labeling of the order-n graph with this code."""
-    bit = np.zeros((n, n), np.int64)  # bit[u, v]: the code bit of pair {u, v}
+@functools.cache
+def _pair_images(n: int) -> np.ndarray:
+    """images[b, p]: the code bit that the p-th permutation of range(n) sends bit b to."""
+    bit = np.zeros((n, n), np.uint8)  # bit[u, v]: the code bit of pair {u, v}
     for b, (i, j) in enumerate(pairs(n)):
         bit[i, j] = bit[j, i] = b
-    perms = np.array(list(permutations(range(n))), dtype=np.int64).T
-    out = np.zeros(perms.shape[1], np.int64)
-    for b, (i, j) in enumerate(pairs(n)):
+    perms = np.array(list(permutations(range(n))), dtype=np.uint8)
+    i, j = np.array(pairs(n), dtype=np.intp).reshape(-1, 2).T
+    return np.ascontiguousarray(bit[perms[:, i], perms[:, j]].T)
+
+
+def _labelings(n: int, code: int) -> np.ndarray:
+    """Sorted codes of every labeling of the order-n graph with this code."""
+    images = _pair_images(n)
+    out = np.zeros(images.shape[1], np.int64)
+    for b in range(len(images)):
         if code >> b & 1:
-            out |= np.int64(1) << bit[perms[i], perms[j]]
+            out |= np.int64(1) << images[b]
     return np.unique(out)
 
 
@@ -351,14 +358,14 @@ class ExtremalCertificate:
         return json.dumps(self.to_dict(), indent=2)
 
 
-def _scan_input(n: int, guard: int, jobs: int | None, corpus, source: str):
+def _scan_input(n: int, guard: int, jobs: int | None, corpus):
     """The table a scan filters and the source it reports.
 
     A corpus gives a labeled table over its graphs; enumeration gives the
     class table, whose representatives are few enough to need no threads.
     """
     if corpus is not None:
-        return _corpus_table(corpus, n, jobs), source
+        return _corpus_table(corpus, n, jobs), "corpus"
     if n > guard:
         raise ValueError(
             f"order {n} exceeds the enumeration guard {guard}; supply a corpus"
@@ -433,7 +440,6 @@ def verify_max_theorem(
     tol: float = BOUND_TOL,
     jobs: int | None = None,
     corpus=None,
-    source: str = "corpus",
 ) -> ExtremalCertificate:
     """Scan every non-complete K_{r+1}-free labeled graph of order n.
 
@@ -452,7 +458,7 @@ def verify_max_theorem(
         achieves = lambda g: is_isomorphic(g, target)
     else:
         achieves = lambda g: check_join_characterization(g, n, r, tol)
-    table, src = _scan_input(n, guard, jobs, corpus, source)
+    table, src = _scan_input(n, guard, jobs, corpus)
     # omega <= r < n also excludes the complete graph.
     return _extremal_scan(
         table, r, "max", bound=bound, eligible=table.omega <= r,
@@ -469,7 +475,6 @@ def verify_min_theorem(
     tol: float = BOUND_TOL,
     jobs: int | None = None,
     corpus=None,
-    source: str = "corpus",
 ) -> ExtremalCertificate:
     """Scan every connected labeled graph of order n with clique number exactly r.
 
@@ -482,7 +487,7 @@ def verify_min_theorem(
         raise ValueError(f"need 2 <= r <= n, got r={r}, n={n}")
     target = kite(n, r)
     bound = algebraic_connectivity(target)
-    table, src = _scan_input(n, guard, jobs, corpus, source)
+    table, src = _scan_input(n, guard, jobs, corpus)
     return _extremal_scan(
         table, r, "min", bound=bound, eligible=(table.omega == r) & table.connected,
         beyond=table.alpha < bound - tol, reason="bound-undershot",

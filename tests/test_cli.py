@@ -19,6 +19,7 @@ from algconn.graphs import (
     complete,
     complete_multipartite,
     decode,
+    encode,
     is_isomorphic,
     kite,
     relabel,
@@ -427,7 +428,9 @@ class TestCorpusRoute:
         graphs = self._order8_corpus()
         corpus = _write_lines(tmp_path / "order8.g6", [write_graph6(g) for g in graphs])
         verify = scan_mod.verify_max_theorem if action == "max" else scan_mod.verify_min_theorem
-        expected = verify(8, 3, corpus=graphs, source=f"corpus:{corpus}").to_json() + "\n"
+        cert = verify(8, 3, corpus=[(8, encode(g)) for g in graphs])
+        cert.source = f"corpus:{corpus}"
+        expected = cert.to_json() + "\n"
 
         calls = {"parse_graph6": 0, "decode": 0}
 

@@ -25,9 +25,12 @@ MALFORMED = [
     ("~??~" + "?" * 325 + "@", "nonzero padding bits", 329),  # order 63: 1953 bits, 3 padding
     ("~??~" + "?" * 327, "1 trailing bytes", 330),
     (b"B\xff", "non-ASCII byte", 1),
+    # A str record is read as its UTF-8 bytes, lone surrogates included.
+    ("B\xe9", "non-ASCII byte", 1),
+    ("B\udce9", "non-ASCII byte", 1),
 ]
 MALFORMED_IDS = ["range", "padding", "truncated", "trailing", "eight-byte", "order-zero",
-                 "long-padding", "long-trailing", "non-ascii"]
+                 "long-padding", "long-trailing", "non-ascii", "non-ascii-str", "surrogate"]
 
 
 def _seeded_order8_lines(seed=8, size=500):
@@ -135,14 +138,15 @@ class TestErrors:
 
     @pytest.mark.parametrize("record, message, offset", MALFORMED, ids=MALFORMED_IDS)
     def test_both_readers_raise_the_same_error(self, record, message, offset):
-        as_bytes = record if isinstance(record, bytes) else record.encode()
+        # The str and bytes forms of a record raise one reason at one offset.
+        as_bytes = record if isinstance(record, bytes) else record.encode("utf-8", "surrogatepass")
         for line in {record, as_bytes}:
             with pytest.raises(Graph6Error) as graph_exc:
                 parse_graph6(line)
             with pytest.raises(Graph6Error) as code_exc:
                 _parse_code(line)
             assert str(graph_exc.value) == str(code_exc.value)
-            assert code_exc.value.offset == offset
+            assert (code_exc.value.reason, code_exc.value.offset) == (message, offset)
         # In a corpus the record sits on line 2, after a good one.
         lines = [b"Bw\n", as_bytes + b"\n"]
         for reader in (read_corpus, read_codes):

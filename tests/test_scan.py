@@ -40,6 +40,7 @@ class TestEnumeration:
     def test_order_three(self):
         table = build_graph_table(3)
         assert table.size == 8
+        assert table.codes.tolist() == list(range(8))
         assert int(table.connected.sum()) == 4
         assert sum(1 for code in range(8) if is_connected(decode(3, code))) == 4
 
@@ -80,7 +81,7 @@ class TestGraphTable:
         from algconn import scan
 
         reference = build_graph_table(5)
-        corpus = [decode(5, code) for code in range(reference.size)]
+        corpus = [(5, code) for code in range(reference.size)]
         routes = (
             lambda jobs: build_graph_table(5, jobs=jobs),
             lambda jobs: scan._corpus_table(iter(corpus), 5, jobs),
@@ -148,7 +149,7 @@ class TestClassTable:
     def test_labelings_partition_the_codes(self):
         # Each class expands to exactly its weight in codes, and the classes
         # of an order share none and miss none.
-        for n in range(1, 7):
+        for n in range(1, 8):
             classes = scan_mod._classes(n)
             parts = [scan_mod._labelings(n, code) for code in classes]
             assert [len(p) for p in parts] == list(classes.values()), n
@@ -303,13 +304,13 @@ class TestMaxTheorem:
         # Every labeled graph of order n <= 6 fed as a corpus must reproduce
         # the enumeration certificate exactly, on both sides and for every r.
         for n in range(2, 7):
-            corpus = [decode(n, code) for code in range(1 << (n * (n - 1) // 2))]
+            corpus = [(n, code) for code in range(1 << (n * (n - 1) // 2))]
             cases = [(verify_max_theorem, r) for r in range(2, n)]
             cases += [(verify_min_theorem, r) for r in range(2, n + 1)]
             for verify, r in cases:
-                from_corpus = verify(n, r, corpus=iter(corpus), source="corpus:test")
+                from_corpus = verify(n, r, corpus=iter(corpus))
                 direct = verify(n, r)
-                assert from_corpus.source == "corpus:test"
+                assert from_corpus.source == "corpus"
                 from_corpus.source = direct.source
                 assert from_corpus.to_json() == direct.to_json(), (verify.__name__, n, r)
 
@@ -318,12 +319,12 @@ class TestMaxTheorem:
         # (it covers BOUND_TOL): bound verdicts and the join
         # characterization read tol, and both routes must still agree.
         for n in range(2, 7):
-            corpus = [decode(n, code) for code in range(1 << (n * (n - 1) // 2))]
+            corpus = [(n, code) for code in range(1 << (n * (n - 1) // 2))]
             cases = [(verify_max_theorem, r) for r in range(2, n)]
             cases += [(verify_min_theorem, r) for r in range(2, n + 1)]
             for tol in (1e-6, 1e-12):
                 for verify, r in cases:
-                    from_corpus = verify(n, r, tol=tol, corpus=iter(corpus), source="corpus:test")
+                    from_corpus = verify(n, r, tol=tol, corpus=iter(corpus))
                     from_corpus.source = "enumeration"
                     assert from_corpus.to_json() == verify(n, r, tol=tol).to_json(), (
                         verify.__name__, n, r, tol)
@@ -385,7 +386,7 @@ class TestMinTheorem:
         assert cert.achieved == pytest.approx(4, abs=1e-9)
 
     def test_corpus_mode(self):
-        corpus = [decode(4, code) for code in range(64)]
+        corpus = [(4, code) for code in range(64)]
         cert = verify_min_theorem(4, 3, corpus=corpus)
         assert cert.ok
         assert is_isomorphic(parse_graph6(cert.achievers[0]), kite(4, 3))

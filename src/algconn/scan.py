@@ -305,7 +305,7 @@ def _labelings(n: int, code: int) -> np.ndarray:
     out = np.zeros(images.shape[1], np.int64)
     for b in range(len(images)):
         if code >> b & 1:
-            out |= np.int64(1) << images[b]
+            out |= np.left_shift(1, images[b], dtype=np.int64)  # int64 under any promotion rules
     return np.unique(out)
 
 

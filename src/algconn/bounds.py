@@ -28,7 +28,6 @@ __all__ = [
     "kite_alpha_floor",
     "degree_chain",
     "sandwich_report",
-    "EQUALITY_TOL",
 ]
 
 

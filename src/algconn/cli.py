@@ -247,7 +247,6 @@ def build_parser() -> argparse.ArgumentParser:
         "solve their isomorphism classes' representatives in one call and use none",
     )
     parser.add_argument("--format", choices=("json", "csv", "table"), default="table")
-    parser.add_argument("--strict-g6", dest="strict_g6", action="store_true", default=True)
     parser.add_argument("--lenient-g6", dest="strict_g6", action="store_false",
                         help="accept nonzero graph6 padding bits")
     sub = parser.add_subparsers(dest="command", required=True)

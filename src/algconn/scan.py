@@ -19,10 +19,8 @@ order 9.  A corpus scan tables its codes as given: the CLI streams them
 straight from graph6 text (graph6.read_codes), with no Graph per record,
 and the Python API also takes Graphs, encoded once on the way in.
 build_graph_table still tables every labeled code of an order up to 7, as
-an independent labeled route to check the class route against; it
-eigensolves only the lower half of the codes, since code
-2^(n(n-1)/2) - 1 - c is the complement of code c and the alpha of each
-complement is n - lambda_max (L(G) + L(complement) = nI - J).
+an independent labeled route to check the class route against; it solves
+each code directly, through the same kernel call as a corpus scan.
 
 Scans emit certificates: the theoretical bound, the scanned extremum
 (re-solved directly over every labeling of the achievers), the achievers
@@ -130,11 +128,8 @@ class GraphTable:
         return codes[order], np.repeat(rows, [len(p) for p in parts])[order]
 
 
-def _chunk_tables(n: int, codes: np.ndarray, paired: bool = False):
-    """(omega, alpha, connected) for each code, from one batched eigensolve.
-
-    With paired, the same three arrays follow for each code's complement.
-    """
+def _chunk_tables(n: int, codes: np.ndarray):
+    """(omega, alpha, connected) for each code, from one batched eigensolve."""
     m = len(codes)
     lap = np.zeros((m, n, n))
     rows = np.zeros((n, m), dtype=np.int64)
@@ -149,55 +144,40 @@ def _chunk_tables(n: int, codes: np.ndarray, paired: bool = False):
         rows[i] |= b << j
         rows[j] |= b << i
 
-    evals = np.linalg.eigvalsh(lap)
-    sides = [(codes, rows, evals[:, 1].copy() if n >= 2 else np.zeros(m))]
-    if paired:
-        full = (1 << n) - 1
-        comp_rows = [full ^ (1 << v) ^ rows[v] for v in range(n)]
-        sides.append((codes ^ ((1 << n * (n - 1) // 2) - 1), comp_rows, n - evals[:, -1]))
-    out = []
-    for side_codes, side_rows, alpha in sides:
-        reach = np.ones(m, dtype=np.int64)
-        for _ in range(n - 1):
-            grown = reach
-            for v in range(n):
-                grown = grown | (side_rows[v] * ((reach >> v) & 1))
-            reach = grown
-        connected = reach == (1 << n) - 1
-        alpha[~connected] = 0.0
+    alpha = np.linalg.eigvalsh(lap)[:, 1].copy() if n >= 2 else np.zeros(m)
+    reach = np.ones(m, dtype=np.int64)
+    for _ in range(n - 1):
+        grown = reach
+        for v in range(n):
+            grown = grown | (rows[v] * ((reach >> v) & 1))
+        reach = grown
+    connected = reach == (1 << n) - 1
+    alpha[~connected] = 0.0
 
-        omega = np.ones(m, dtype=np.uint8)
-        for size in range(2, n + 1):
-            for subset in combinations(range(n), size):
-                mask = 0
-                for a, b in combinations(subset, 2):
-                    mask |= 1 << pair_index(a, b)
-                omega[(side_codes & mask) == mask] = size
-        out += [omega, alpha, connected]
-    return tuple(out)
+    omega = np.ones(m, dtype=np.uint8)
+    for size in range(2, n + 1):
+        for subset in combinations(range(n), size):
+            mask = 0
+            for a, b in combinations(subset, 2):
+                mask |= 1 << pair_index(a, b)
+            omega[(codes & mask) == mask] = size
+    return omega, alpha, connected
 
 
-def _code_tables(n: int, codes: np.ndarray, jobs: int | None, paired: bool = False):
+def _code_tables(n: int, codes: np.ndarray, jobs: int | None):
     """(omega, alpha, connected) over a code array, in the array's order.
 
     The codes are split into contiguous chunks handled by a thread pool (the
     eigenvalue kernel releases the GIL), each writing its rows in place, so
-    the arrays are identical regardless of jobs.  With paired, codes are the
-    lower half of the code space and the arrays cover all of it: a chunk's
-    complement rows fill the same slice of the reversed arrays.
+    the arrays are identical regardless of jobs.
     """
-    size = len(codes) * (2 if paired else 1)
-    table = (np.empty(size, np.uint8), np.empty(size), np.empty(size, bool))
-    targets = [table]
-    if paired:
-        targets.append([a[::-1] for a in table])
+    m = len(codes)
+    table = (np.empty(m, np.uint8), np.empty(m), np.empty(m, bool))
 
     def fill(start: int) -> None:
         chunk = codes[start:start + _CHUNK]
-        parts = _chunk_tables(n, chunk, paired)
-        for k, target in enumerate(targets):
-            for dest, part in zip(target, parts[3 * k:3 * k + 3]):
-                dest[start:start + len(chunk)] = part
+        for dest, part in zip(table, _chunk_tables(n, chunk)):
+            dest[start:start + len(chunk)] = part
 
     starts = range(0, len(codes), _CHUNK)
     if jobs is None:
@@ -212,12 +192,7 @@ def _code_tables(n: int, codes: np.ndarray, jobs: int | None, paired: bool = Fal
 
 
 def build_graph_table(n: int, jobs: int | None = None) -> GraphTable:
-    """Compute (or fetch from cache) the full invariant table for order n.
-
-    Only the lower half of the code space is eigensolved; each solve also
-    gives the complementary code's row, whose alpha (n - lambda_max) can
-    differ from a direct solve in the last bits (about 1e-14).
-    """
+    """Compute (or fetch from cache) the table of every labeled code of order n."""
     if n < 2:
         raise ValueError(f"table needs order >= 2, got {n}")
     if n > 7:
@@ -229,7 +204,7 @@ def build_graph_table(n: int, jobs: int | None = None) -> GraphTable:
     if cached is not None:
         return cached
     codes = np.arange(1 << (n * (n - 1) // 2), dtype=np.int64)
-    table = GraphTable(n, *_code_tables(n, codes[:len(codes) // 2], jobs, paired=True), codes)
+    table = GraphTable(n, *_code_tables(n, codes, jobs), codes)
     _TABLE_CACHE[n] = table
     return table
 
@@ -396,7 +371,7 @@ def _extremal_scan(
     every equality achiever, up to isomorphism, must pass `achieves`.
     Every labeling of the achievers (eligible rows within EQUALITY_TOL of
     the extremum) is solved again directly for `achieved`, so it does not
-    depend on which labeling or which half of a paired table a row holds.
+    depend on which labeling of its class a row holds.
     """
     if not eligible.any():
         raise ValueError("corpus contained no eligible graphs")

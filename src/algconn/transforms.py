@@ -46,7 +46,6 @@ __all__ = [
     "theta_vs_kite",
     "kite_minimality_chain",
     "tailed_clique_sweep",
-    "STRICT_TOL",
 ]
 
 

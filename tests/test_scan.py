@@ -34,7 +34,7 @@ from algconn.scan import (
     verify_min_theorem,
     verify_supersaturation,
 )
-from algconn.spectra import BOUND_TOL, EQUALITY_TOL
+from algconn.spectra import BOUND_TOL, EQUALITY_TOL, STRICT_TOL
 
 class TestEnumeration:
     def test_order_three(self):
@@ -71,13 +71,11 @@ class TestGraphTable:
         serial = scan._chunk_tables(4, np.arange(64, dtype=np.int64))
         table = build_graph_table(4)
         assert np.array_equal(serial[0], table.omega)
-        assert np.allclose(serial[1], table.alpha)
+        assert np.array_equal(serial[1], table.alpha)
         assert np.array_equal(serial[2], table.connected)
 
     def test_chunked_parallel_merge_is_deterministic(self, monkeypatch):
         # Within a route, jobs and chunk size leave every array unchanged.
-        # The enumeration route takes the upper half of its alphas from the
-        # complement's lambda_max, so across routes alpha agrees only closely.
         from algconn import scan
 
         reference = build_graph_table(5)
@@ -107,22 +105,7 @@ class TestGraphTable:
         assert np.array_equal(enumerated.alpha, reference.alpha)
         assert np.array_equal(enumerated.omega, from_corpus.omega)
         assert np.array_equal(enumerated.connected, from_corpus.connected)
-        assert np.abs(enumerated.alpha - from_corpus.alpha).max() <= 1e-13
-
-    def test_paired_table_matches_direct_kernel(self):
-        from algconn import scan
-
-        for n in range(2, 7):
-            table = build_graph_table(n)
-            total = 1 << (n * (n - 1) // 2)
-            omega, alpha, connected = scan._chunk_tables(n, np.arange(total, dtype=np.int64))
-            half = total // 2
-            assert np.array_equal(table.omega, omega)
-            assert np.array_equal(table.connected, connected)
-            assert table.alpha[:half].tobytes() == alpha[:half].tobytes()
-            assert np.abs(table.alpha[half:] - alpha[half:]).max() <= 1e-13
-            disconnected = table.alpha[~table.connected]
-            assert disconnected.tobytes() == np.zeros_like(disconnected).tobytes()
+        assert np.array_equal(enumerated.alpha, from_corpus.alpha)
 
 
 class TestClassTable:
@@ -484,18 +467,19 @@ class TestJoinCharacterization:
     def test_matches_brute_force(self):
         # Every K_{r+1}-free graph at (4,3) and (5,4), and those within 1 of
         # the Turan bound at (6,4) and (6,5), against the literal reading.
+        # Many alphas sit exactly on that integer cut, hence the STRICT_TOL slack.
         checked = 0
         for n, r, margin in ((4, 3, None), (5, 4, None), (6, 4, 1.0), (6, 5, 1.0)):
             table = build_graph_table(n)
             rows = table.omega <= r
             if margin is not None:
-                rows &= table.alpha >= n - -(n // -r) - margin
+                rows &= table.alpha >= n - -(n // -r) - margin - STRICT_TOL
             for row in np.nonzero(rows)[0]:
                 g = table.graph(row)
                 expected = _join_form_brute(g, n, r)
                 assert check_join_characterization(g, n, r) == expected, (n, r, row)
                 checked += 1
-        assert checked == 1986
+        assert checked == 2121
 
     def test_join_factorization_identity_sampled(self):
         rng = np.random.default_rng(9)
@@ -553,7 +537,6 @@ class TestSupersaturation:
     def test_prune_matches_the_labeled_table(self):
         from algconn.cliques import contains_complete_multipartite
         from algconn.graph6 import write_graph6
-        from algconn.spectra import STRICT_TOL
 
         for n in range(2, 7):
             alpha = build_graph_table(n).alpha

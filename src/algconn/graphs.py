@@ -108,18 +108,6 @@ class Graph:
         return cls(n, tuple(rows))
 
 
-def _trusted(n: int, rows: tuple[int, ...]) -> Graph:
-    """A Graph from rows valid by construction, skipping __post_init__'s checks.
-
-    Only for rows built symmetric, loop-free and inside 0..n-1 by this
-    package (decode); outside input goes through Graph.
-    """
-    g = object.__new__(Graph)
-    object.__setattr__(g, "n", n)
-    object.__setattr__(g, "rows", rows)
-    return g
-
-
 def _bits(mask: int) -> list[int]:
     out = []
     while mask:
@@ -378,7 +366,7 @@ def decode(n: int, code: int) -> Graph:
         rows[j] = col
         for i in _bits(col):
             rows[i] |= 1 << j
-    return _trusted(n, tuple(rows))
+    return Graph(n, tuple(rows))
 
 
 # ---------------------------------------------------------------------------

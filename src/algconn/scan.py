@@ -2,9 +2,9 @@
 
 The labeled graphs of order n are identified with integer codes 0 ..
 2^(n(n-1)/2) - 1 (one bit per vertex pair, in graphs.pair_index order).
-One chunked, threaded numpy kernel computes clique number, algebraic
-connectivity and connectivity flags over a code array; a GraphTable holds
-the result, one row per code.
+Every table is built by _table: one chunked numpy kernel, run on a thread
+pool, computes clique number, algebraic connectivity and connectivity flags
+over a code array into a GraphTable, one row per code.
 
 The max/min scans by enumeration and the supersaturation check run over
 isomorphism classes instead: the omega, alpha and connectivity of a graph do
@@ -20,7 +20,7 @@ straight from graph6 text (graph6.read_codes), with no Graph per record,
 and the Python API also takes Graphs, encoded once on the way in.
 build_graph_table still tables every labeled code of an order up to 7, as
 an independent labeled route to check the class route against; it solves
-each code directly, through the same kernel call as a corpus scan.
+each code directly, through the same _table call as a corpus scan.
 
 Scans emit certificates: the theoretical bound, the scanned extremum
 (re-solved directly over every labeling of the achievers), the achievers
@@ -40,7 +40,6 @@ from concurrent.futures import ThreadPoolExecutor
 from dataclasses import asdict, dataclass
 from fractions import Fraction
 from itertools import combinations, permutations
-from types import MappingProxyType
 
 import numpy as np
 
@@ -86,6 +85,8 @@ DEFAULT_GUARD = 7
 #: Codes per kernel call; each thread's chunk holds a (_CHUNK, n, n) Laplacian batch.
 _CHUNK = 1 << 12
 _TABLE_CACHE: dict[int, "GraphTable"] = {}
+#: Most violating labelings a supersaturation report lists; each is one graph6 string.
+_MAX_VIOLATIONS = 1 << 20
 
 
 @dataclass(frozen=True)
@@ -164,31 +165,29 @@ def _chunk_tables(n: int, codes: np.ndarray):
     return omega, alpha, connected
 
 
-def _code_tables(n: int, codes: np.ndarray, jobs: int | None):
-    """(omega, alpha, connected) over a code array, in the array's order.
+def _table(n: int, codes: np.ndarray, weights: np.ndarray | None = None,
+           jobs: int | None = None) -> GraphTable:
+    """The invariant table over a code array, one row per code in the array's order.
 
-    The codes are split into contiguous chunks handled by a thread pool (the
-    eigenvalue kernel releases the GIL), each writing its rows in place, so
-    the arrays are identical regardless of jobs.
+    The codes are split into contiguous chunks handled by a thread pool of
+    at most `jobs` threads (None: one per core; the eigenvalue kernel
+    releases the GIL), each writing its rows in place, so the table is
+    identical regardless of jobs.
     """
     m = len(codes)
-    table = (np.empty(m, np.uint8), np.empty(m), np.empty(m, bool))
+    columns = (np.empty(m, np.uint8), np.empty(m), np.empty(m, bool))
 
     def fill(start: int) -> None:
         chunk = codes[start:start + _CHUNK]
-        for dest, part in zip(table, _chunk_tables(n, chunk)):
+        for dest, part in zip(columns, _chunk_tables(n, chunk)):
             dest[start:start + len(chunk)] = part
 
-    starts = range(0, len(codes), _CHUNK)
+    starts = range(0, m, _CHUNK)
     if jobs is None:
-        jobs = min(len(starts), os.cpu_count() or 1)
-    if jobs <= 1 or len(starts) <= 1:
-        for start in starts:
-            fill(start)
-    else:
-        with ThreadPoolExecutor(max_workers=jobs) as pool:
-            list(pool.map(fill, starts))
-    return table
+        jobs = os.cpu_count() or 1
+    with ThreadPoolExecutor(max_workers=max(min(jobs, len(starts)), 1)) as pool:
+        list(pool.map(fill, starts))
+    return GraphTable(n, *columns, codes, weights)
 
 
 def build_graph_table(n: int, jobs: int | None = None) -> GraphTable:
@@ -204,7 +203,7 @@ def build_graph_table(n: int, jobs: int | None = None) -> GraphTable:
     if cached is not None:
         return cached
     codes = np.arange(1 << (n * (n - 1) // 2), dtype=np.int64)
-    table = GraphTable(n, *_code_tables(n, codes, jobs), codes)
+    table = _table(n, codes, jobs=jobs)
     _TABLE_CACHE[n] = table
     return table
 
@@ -214,9 +213,11 @@ def clear_table_cache() -> None:
 
 
 @functools.cache
-def _classes(n: int, dcap: int | None = None) -> MappingProxyType:
-    """The isomorphism classes of order n: canonical code -> labelings, by code.
+def _classes(n: int, dcap: int | None = None) -> tuple[np.ndarray, np.ndarray]:
+    """(codes, weights): the isomorphism classes of order n, as int64 arrays.
 
+    codes[i] is a class's canonical code, ascending, and weights[i] its
+    number of labelings; both are read-only, as the cache shares them.
     With dcap, only the classes of maximum degree <= dcap; None means all.
     Order n grows from the order n-1 representatives: the new vertex n-1
     takes each of its 2^(n-1) neighbour sets, and all the (parent, neighbour
@@ -235,32 +236,26 @@ def _classes(n: int, dcap: int | None = None) -> MappingProxyType:
     each still below dcap in the parent) are keyed.
     """
     if n == 1:
-        return MappingProxyType({0: 1})
-    shift = (n - 1) * (n - 2) // 2  # bit offset of column n-1 in a code
-    parents = _classes(n - 1, dcap)
-    columns = np.arange(1 << (n - 1), dtype=np.int64) << shift
-    children = (np.fromiter(parents, np.int64, len(parents))[:, None] | columns).ravel()
-    inherited = np.repeat(np.fromiter(parents.values(), np.int64), len(columns))
-    if dcap is not None:
-        degree = np.zeros((n, len(children)), np.int64)
-        for b, (i, j) in enumerate(pairs(n)):
-            bit = children >> b & 1
-            degree[i] += bit
-            degree[j] += bit
-        within = degree.max(axis=0) <= dcap
-        children, inherited = children[within], inherited[within]
-    keys, owner = np.unique(canonical_codes(n, children), return_inverse=True)
-    weights = np.zeros(len(keys), dtype=np.int64)
-    np.add.at(weights, owner, inherited)
-    return MappingProxyType(dict(zip(keys.tolist(), weights.tolist())))
-
-
-def _class_table(n: int) -> GraphTable:
-    """One row per isomorphism class of order n, from one batched kernel call."""
-    classes = _classes(n)
-    codes = np.fromiter(classes, np.int64, len(classes))
-    weights = np.fromiter(classes.values(), np.int64, len(classes))
-    return GraphTable(n, *_chunk_tables(n, codes), codes, weights)
+        codes, weights = np.zeros(1, np.int64), np.ones(1, np.int64)
+    else:
+        shift = (n - 1) * (n - 2) // 2  # bit offset of column n-1 in a code
+        parents, parent_weights = _classes(n - 1, dcap)
+        columns = np.arange(1 << (n - 1), dtype=np.int64) << shift
+        children = (parents[:, None] | columns).ravel()
+        inherited = np.repeat(parent_weights, len(columns))
+        if dcap is not None:
+            degree = np.zeros((n, len(children)), np.int64)
+            for b, (i, j) in enumerate(pairs(n)):
+                bit = children >> b & 1
+                degree[i] += bit
+                degree[j] += bit
+            within = degree.max(axis=0) <= dcap
+            children, inherited = children[within], inherited[within]
+        codes, owner = np.unique(canonical_codes(n, children), return_inverse=True)
+        weights = np.zeros(len(codes), dtype=np.int64)
+        np.add.at(weights, owner, inherited)
+    codes.flags.writeable = weights.flags.writeable = False
+    return codes, weights
 
 
 @functools.cache
@@ -300,8 +295,7 @@ def _corpus_table(corpus, n: int, jobs: int | None) -> GraphTable:
                 raise ValueError(f"corpus graph of order {order}, expected {n}")
             yield code
 
-    codes = np.fromiter(checked_codes(), dtype=np.int64)
-    return GraphTable(n, *_code_tables(n, codes, jobs), codes)
+    return _table(n, np.fromiter(checked_codes(), dtype=np.int64), jobs=jobs)
 
 
 # ---------------------------------------------------------------------------
@@ -337,7 +331,7 @@ def _scan_input(n: int, guard: int, jobs: int | None, corpus):
     """The table a scan filters and the source it reports.
 
     A corpus gives a labeled table over its graphs; enumeration gives the
-    class table, whose representatives are few enough to need no threads.
+    class table.  Both are built by _table on up to `jobs` threads.
     """
     if corpus is not None:
         return _corpus_table(corpus, n, jobs), "corpus"
@@ -352,7 +346,7 @@ def _scan_input(n: int, guard: int, jobs: int | None, corpus):
             f"order {n} would key at least {12_346 << (n - 1):,} grown graphs, "
             "against 133,632 at order 8; supply a corpus beyond order 8"
         )
-    return _class_table(n), "enumeration"
+    return _table(n, *_classes(n), jobs), "enumeration"
 
 
 def _counterexample(g: Graph, reason: str) -> dict:
@@ -361,7 +355,7 @@ def _counterexample(g: Graph, reason: str) -> dict:
 
 def _extremal_scan(
     table: GraphTable, r: int, mode: str, *, bound: float, eligible: np.ndarray,
-    beyond: np.ndarray, reason: str, target: Graph, achieves, source: str,
+    beyond: np.ndarray, reason: str, target: Graph, achieves, source: str, jobs: int | None,
 ) -> ExtremalCertificate:
     """Certificate for one side of an extremal statement over a graph table.
 
@@ -370,8 +364,8 @@ def _extremal_scan(
     alpha over the eligible rows must equal the bound, attained by `target`;
     every equality achiever, up to isomorphism, must pass `achieves`.
     Every labeling of the achievers (eligible rows within EQUALITY_TOL of
-    the extremum) is solved again directly for `achieved`, so it does not
-    depend on which labeling of its class a row holds.
+    the extremum) is solved again on `jobs` threads for `achieved`, so it
+    does not depend on which labeling of its class a row holds.
     """
     if not eligible.any():
         raise ValueError("corpus contained no eligible graphs")
@@ -379,7 +373,7 @@ def _extremal_scan(
     extremum = alphas.max() if mode == "max" else alphas.min()
     hit, owner = table.labeled(
         np.nonzero(eligible & (np.abs(table.alpha - extremum) <= EQUALITY_TOL))[0])
-    exact = _chunk_tables(table.n, hit)[1]
+    exact = _table(table.n, hit, jobs=jobs).alpha
     achieved = float(exact.max() if mode == "max" else exact.min())
     counterexamples = [
         _counterexample(decode(table.n, int(code)), reason)
@@ -432,13 +426,13 @@ def verify_max_theorem(
     if n % r in (0, r - 1):
         achieves = lambda g: is_isomorphic(g, target)
     else:
-        achieves = lambda g: check_join_characterization(g, n, r, tol)
+        achieves = lambda g: check_join_characterization(g, r, tol)
     table, src = _scan_input(n, guard, jobs, corpus)
     # omega <= r < n also excludes the complete graph.
     return _extremal_scan(
         table, r, "max", bound=bound, eligible=table.omega <= r,
         beyond=table.alpha > bound + tol, reason="bound-exceeded",
-        target=target, achieves=achieves, source=src,
+        target=target, achieves=achieves, source=src, jobs=jobs,
     )
 
 
@@ -466,20 +460,19 @@ def verify_min_theorem(
     return _extremal_scan(
         table, r, "min", bound=bound, eligible=(table.omega == r) & table.connected,
         beyond=table.alpha < bound - tol, reason="bound-undershot",
-        target=target, achieves=lambda g: is_isomorphic(g, target), source=src,
+        target=target, achieves=lambda g: is_isomorphic(g, target), source=src, jobs=jobs,
     )
 
 
-def check_join_characterization(g: Graph, n: int, r: int, tol: float = BOUND_TOL) -> bool:
+def check_join_characterization(g: Graph, r: int, tol: float = BOUND_TOL) -> bool:
     """Test the join form required of equality achievers when 0 < n mod r < r-1.
 
-    With n = kr + t, g passes iff it has t independent (k+1)-sets, each
+    With n = g.n = kr + t, g passes iff it has t independent (k+1)-sets, each
     joined to every other vertex, whose removal leaves an induced subgraph H
     that is K_{r+1-t}-free with alpha(H) >= n - (k+1)(t+1).  Those sets are
     exactly the complement components of order k+1 with no edge in g.
     """
-    if g.n != n:
-        raise ValueError(f"graph order {g.n} does not match n={n}")
+    n = g.n
     if not 2 <= r < n:
         raise ValueError(f"need 2 <= r < n, got r={r}, n={n}")
     k, t = divmod(n, r)
@@ -562,11 +555,11 @@ def verify_supersaturation(
     alpha(G) = n - lambda_1(complement), and lambda_1 >= max degree + 1 for
     any graph with an edge, so only graphs whose complement has max degree
     <= dcap = n - threshold - 1 can qualify.  Those complements are grown
-    as isomorphism classes (_classes(n, dcap)), and one batched kernel call
-    tables their graphs, one row per class.  Counts are weighted by the
-    classes' labelings, and each violating class lists all its labelings, so
-    the report is the one a scan over every labeled candidate in code order
-    would give.
+    as isomorphism classes (_classes(n, dcap)), and their graphs are tabled
+    one row per class.  Counts are weighted by the classes' labelings, and
+    each violating class lists all its labelings, so the report is the one
+    a scan over every labeled candidate in code order would give.  A report
+    that would list more than _MAX_VIOLATIONS labelings is refused.
     """
     if r < 2 or k < 1:
         raise ValueError(f"need r >= 2 and k >= 1, got r={r}, k={k}")
@@ -586,10 +579,8 @@ def verify_supersaturation(
     parts = [k] * r
     total = 1 << (n * (n - 1) // 2)
     dcap = max(int(n - threshold - 1 + STRICT_TOL), 0)
-    classes = _classes(n, dcap)
-    codes = (total - 1) ^ np.fromiter(classes, np.int64, len(classes))
-    weights = np.fromiter(classes.values(), np.int64, len(classes))
-    table = GraphTable(n, *_chunk_tables(n, codes), codes, weights)
+    complements, weights = _classes(n, dcap)
+    table = _table(n, (total - 1) ^ complements, weights)
 
     hit = np.nonzero(table.alpha >= threshold - STRICT_TOL)[0]
     failing = np.array([
@@ -597,6 +588,11 @@ def verify_supersaturation(
         if n < k * r or not contains_complete_multipartite(table.graph(row), parts)
     ], dtype=np.int64)
     qualifying = int(weights[hit].sum())
+    listed = int(weights[failing].sum())
+    if listed > _MAX_VIOLATIONS:
+        raise ValueError(
+            f"{listed:,} violating labelings to list, above the limit of {_MAX_VIOLATIONS:,}"
+        )
     return SupersaturationReport(
         n=n, r=r, k=k, epsilon=epsilon, threshold=threshold, parts=parts,
         qualifying=qualifying,

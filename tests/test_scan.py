@@ -83,13 +83,15 @@ class TestGraphTable:
         routes = (
             lambda jobs: build_graph_table(5, jobs=jobs),
             lambda jobs: scan._corpus_table(iter(corpus), 5, jobs),
+            lambda jobs: scan._scan_input(5, 7, jobs, None)[0],
         )
         firsts = []
         try:
             for route in routes:
                 built = []
-                # One chunk, then chunks of 100 with a ragged last one (12 or 24 codes).
-                for chunk in (scan._CHUNK, 100):
+                # One chunk, then chunks of 10 with a ragged last one (4 codes
+                # of the 1,024 labeled codes or of the 34 classes).
+                for chunk in (scan._CHUNK, 10):
                     monkeypatch.setattr(scan, "_CHUNK", chunk)
                     for jobs in (1, 4):
                         scan._TABLE_CACHE.pop(5, None)
@@ -101,11 +103,26 @@ class TestGraphTable:
                 firsts.append(built[0])
         finally:
             scan._TABLE_CACHE[5] = reference
-        enumerated, from_corpus = firsts
+        enumerated, from_corpus, classes = firsts
+        assert classes.size == 34
         assert np.array_equal(enumerated.alpha, reference.alpha)
         assert np.array_equal(enumerated.omega, from_corpus.omega)
         assert np.array_equal(enumerated.connected, from_corpus.connected)
         assert np.array_equal(enumerated.alpha, from_corpus.alpha)
+
+    def test_jobs_sizes_every_pool_of_a_scan(self, monkeypatch):
+        # The class table and the achiever re-solve, both split by small chunks.
+        from algconn import scan
+
+        sizes = []
+        real = scan.ThreadPoolExecutor
+        monkeypatch.setattr(scan, "_CHUNK", 10)
+        monkeypatch.setattr(scan, "ThreadPoolExecutor",
+                            lambda max_workers: sizes.append(max_workers) or real(max_workers))
+        for jobs in (1, 3):
+            sizes.clear()
+            assert verify_min_theorem(6, 3, jobs=jobs).ok
+            assert sizes == [jobs, jobs]
 
 
 class TestClassTable:
@@ -114,14 +131,23 @@ class TestClassTable:
         classes = (1, 2, 4, 11, 34, 156, 1044)
         connected = (1, 1, 4, 38, 728, 26_704, 1_866_256)
         for n, count, linked in zip(range(1, 8), classes, connected):
-            table = scan_mod._classes(n)
-            assert len(table) == count, n
-            assert sum(table.values()) == 1 << (n * (n - 1) // 2), n
-            assert sum(w for code, w in table.items() if is_connected(decode(n, code))) == linked
+            codes, weights = scan_mod._classes(n)
+            assert len(codes) == len(weights) == count, n
+            assert weights.sum() == 1 << (n * (n - 1) // 2), n
+            assert sum(w for code, w in zip(codes.tolist(), weights.tolist())
+                       if is_connected(decode(n, code))) == linked
+
+    def test_classes_are_read_only(self):
+        # functools.cache hands the same arrays to every caller.
+        for array in scan_mod._classes(5):
+            assert array.dtype == np.int64
+            with pytest.raises(ValueError):
+                array[0] = 1
+        assert scan_mod._classes(5)[0][0] == 0
 
     def test_weighted_histogram_matches_labeled_table(self):
         for n in range(2, 7):
-            classes = scan_mod._class_table(n)
+            classes = scan_mod._table(n, *scan_mod._classes(n))
             labeled = build_graph_table(n)
             for omega in range(1, n + 1):
                 for linked in (False, True):
@@ -133,11 +159,11 @@ class TestClassTable:
         # Each class expands to exactly its weight in codes, and the classes
         # of an order share none and miss none.
         for n in range(1, 8):
-            classes = scan_mod._classes(n)
-            parts = [scan_mod._labelings(n, code) for code in classes]
-            assert [len(p) for p in parts] == list(classes.values()), n
+            classes, weights = scan_mod._classes(n)
+            parts = [scan_mod._labelings(n, int(code)) for code in classes]
+            assert [len(p) for p in parts] == weights.tolist(), n
             assert all(canonical_code(decode(n, int(p[-1]))) == code
-                       for p, code in zip(parts, classes))
+                       for p, code in zip(parts, classes.tolist()))
             codes = np.sort(np.concatenate(parts))
             assert np.array_equal(codes, np.arange(1 << (n * (n - 1) // 2))), n
 
@@ -149,12 +175,11 @@ class TestClassTable:
     ])
     def test_canonical_form_is_pinned(self, n, codes, weights):
         # sha256 of the class codes and weights as little-endian int64, in
-        # dict order: any change to the canonical form changes them.
-        classes = scan_mod._classes(n)
-        digest = lambda values: hashlib.sha256(
-            np.fromiter(values, "<i8", len(classes)).tobytes()).hexdigest()
+        # ascending code order: any change to the canonical form changes them.
+        digest = lambda values: hashlib.sha256(values.astype("<i8").tobytes()).hexdigest()
+        classes, counts = scan_mod._classes(n)
         assert digest(classes) == codes
-        assert digest(classes.values()) == weights
+        assert digest(counts) == weights
 
     def test_batch_size_does_not_change_keys(self, monkeypatch):
         import algconn.graphs as graphs_mod
@@ -170,10 +195,9 @@ class TestClassTable:
 
     def test_order_eight_classes(self):
         # A000088 (12,346 classes), every labeling once, A001187 connected.
-        classes = scan_mod._classes(8)
-        table = scan_mod._class_table(8)
-        assert len(classes) == 12_346
-        assert sum(classes.values()) == 1 << 28
+        table = scan_mod._table(8, *scan_mod._classes(8))
+        assert table.size == 12_346
+        assert table.weights.sum() == 1 << 28
         assert int(table.weights[table.connected].sum()) == 251_548_592
 
     def test_networkx_atlas_oracle(self):
@@ -186,10 +210,10 @@ class TestClassTable:
                 (top, canonical_code(Graph.from_edges(n, h.edges()))))
         assert sorted(atlas) == list(range(1, 8))
         for n, graphs in atlas.items():
-            assert sorted(code for _, code in graphs) == list(scan_mod._classes(n)), n
+            assert sorted(code for _, code in graphs) == scan_mod._classes(n)[0].tolist(), n
             for dcap in range(n):
                 capped = sorted(code for top, code in graphs if top <= dcap)
-                assert capped == list(scan_mod._classes(n, dcap)), (n, dcap)
+                assert capped == scan_mod._classes(n, dcap)[0].tolist(), (n, dcap)
 
 
 class TestMaxTheorem:
@@ -224,9 +248,9 @@ class TestMaxTheorem:
         seen = []
         real = scan_mod.check_join_characterization
 
-        def spy(g, n, r, tol=BOUND_TOL):
+        def spy(g, r, tol=BOUND_TOL):
             seen.append(tol)
-            return real(g, n, r, tol)
+            return real(g, r, tol)
 
         monkeypatch.setattr(scan_mod, "check_join_characterization", spy)
         assert verify_max_theorem(5, 4, tol=1e-3).ok
@@ -242,7 +266,7 @@ class TestMaxTheorem:
         assert any(is_isomorphic(g, turan(6, 4)) for g in achievers)
         assert any(is_isomorphic(g, turan(6, 3)) for g in achievers)
         for g in achievers:
-            assert check_join_characterization(g, 6, 4)
+            assert check_join_characterization(g, 4)
 
     def test_residue_r_minus_one_unique(self):
         cert = verify_max_theorem(7, 4)  # 7 = 1*4 + 3 = kr + r - 1
@@ -313,8 +337,9 @@ class TestMaxTheorem:
                         verify.__name__, n, r, tol)
 
     def test_corpus_input_errors(self):
-        with pytest.raises(ValueError, match="no eligible graphs"):
-            verify_max_theorem(4, 2, corpus=[])
+        for verify in (verify_max_theorem, verify_min_theorem):
+            with pytest.raises(ValueError, match="^corpus contained no eligible graphs$"):
+                verify(4, 2, corpus=[])
         with pytest.raises(ValueError, match="order 5, expected 4"):
             verify_max_theorem(4, 2, corpus=[path(4), turan(5, 2)])
         with pytest.raises(ValueError, match="order 5, expected 4"):
@@ -380,7 +405,7 @@ class TestMinTheorem:
         # Every eligible order-6 class is beyond the bound: the certificate
         # lists the labeled oracle's first 20, without expanding whole classes.
         n, r = 6, 3
-        table = scan_mod._class_table(n)
+        table = scan_mod._table(n, *scan_mod._classes(n))
         eligible = (table.omega == r) & table.connected
         expanded = []
         real = scan_mod.GraphTable.labeled
@@ -395,7 +420,7 @@ class TestMinTheorem:
         cert = scan_mod._extremal_scan(
             table, r, "min", bound=scan_mod.algebraic_connectivity(target),
             eligible=eligible, beyond=eligible, reason="bound-undershot", target=target,
-            achieves=lambda g: is_isomorphic(g, target), source="enumeration",
+            achieves=lambda g: is_isomorphic(g, target), source="enumeration", jobs=1,
         )
         labeled = build_graph_table(n)
         oracle = np.nonzero((labeled.omega == r) & labeled.connected)[0][:20]
@@ -444,25 +469,25 @@ def _join_form_brute(g, n, r, tol=BOUND_TOL):
 
 class TestJoinCharacterization:
     def test_unbalanced_tripartite(self):
-        assert check_join_characterization(complete_multipartite(3, 3, 1), 7, 3)
+        assert check_join_characterization(complete_multipartite(3, 3, 1), 3)
 
     def test_turan_seven_three(self):
-        assert check_join_characterization(turan(7, 3), 7, 3)
+        assert check_join_characterization(turan(7, 3), 3)
 
     def test_failing_graph(self):
         # C_7 has alpha < 4 and no independent order-3 set joined to the rest
         from algconn.graphs import cycle
 
-        assert not check_join_characterization(cycle(7), 7, 3)
+        assert not check_join_characterization(cycle(7), 3)
 
     def test_wrong_residue_rejected(self):
         with pytest.raises(ValueError):
-            check_join_characterization(turan(6, 3), 6, 3)
+            check_join_characterization(turan(6, 3), 3)
 
     def test_order_below_r_rejected(self):
         # 3 = 0*5 + 3 has 0 < t < r-1 but no room for t parts of order k+1 = 1.
         with pytest.raises(ValueError, match="2 <= r < n"):
-            check_join_characterization(path(3), 3, 5)
+            check_join_characterization(path(3), 5)
 
     def test_matches_brute_force(self):
         # Every K_{r+1}-free graph at (4,3) and (5,4), and those within 1 of
@@ -477,7 +502,7 @@ class TestJoinCharacterization:
             for row in np.nonzero(rows)[0]:
                 g = table.graph(row)
                 expected = _join_form_brute(g, n, r)
-                assert check_join_characterization(g, n, r) == expected, (n, r, row)
+                assert check_join_characterization(g, r) == expected, (n, r, row)
                 checked += 1
         assert checked == 2121
 
@@ -588,8 +613,9 @@ class TestSupersaturation:
             for dcap in range(n):
                 within = deg.max(axis=0) <= dcap
                 found, counts = np.unique(keys[within], return_counts=True)
-                classes = scan_mod._classes(n, dcap)
-                assert dict(classes) == dict(zip(found.tolist(), counts.tolist())), (n, dcap)
+                classes, weights = scan_mod._classes(n, dcap)
+                assert np.array_equal(classes, found), (n, dcap)
+                assert np.array_equal(weights, counts), (n, dcap)
 
     def test_pruned_route_empty_complement(self):
         # dcap 0: only the empty complement, i.e. the complete graph, is a candidate.
@@ -621,6 +647,14 @@ class TestSupersaturation:
     def test_containment_guard(self):
         with pytest.raises(ValueError):
             verify_supersaturation(7, 3, 3, 0.05)
+
+    def test_oversized_violation_listing_is_refused(self, monkeypatch):
+        # Order 6 < k*r = 8: each of the 76 qualifying labelings is a violation.
+        monkeypatch.setattr(scan_mod, "_MAX_VIOLATIONS", 76)
+        assert len(verify_supersaturation(6, 2, 4, 0.1).violations) == 76
+        monkeypatch.setattr(scan_mod, "_MAX_VIOLATIONS", 75)
+        with pytest.raises(ValueError, match="^76 violating labelings to list, above the limit"):
+            verify_supersaturation(6, 2, 4, 0.1)
 
     def test_json_shape(self):
         rep = verify_supersaturation(6, 2, 2, 0.1)

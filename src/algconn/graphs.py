@@ -36,6 +36,7 @@ __all__ = [
     "relabel",
     "pair_index",
     "pairs",
+    "adjacency",
     "encode",
     "decode",
     "connected_components",
@@ -90,6 +91,10 @@ class Graph:
             rest = self.rows[i] >> (i + 1) << (i + 1)
             for j in _bits(rest):
                 yield (i, j)
+
+    def adjacency_matrix(self) -> np.ndarray:
+        """The (n, n) uint8 0/1 adjacency matrix, at any order."""
+        return np.array([[row >> u & 1 for u in range(self.n)] for row in self.rows], np.uint8)
 
     @property
     def is_complete(self) -> bool:
@@ -346,6 +351,14 @@ def pairs(n: int) -> list[tuple[int, int]]:
     return [(i, j) for j in range(1, n) for i in range(j)]
 
 
+def adjacency(n: int, codes: np.ndarray) -> np.ndarray:
+    """(m, n, n) uint8 0/1 adjacency matrices of an int64 array of order-n codes."""
+    adj = np.zeros((len(codes), n, n), np.uint8)
+    for b, (i, j) in enumerate(pairs(n)):
+        adj[:, i, j] = adj[:, j, i] = codes >> b & 1
+    return adj
+
+
 def encode(g: Graph) -> int:
     """Integer code of g: column j is rows[j] below bit j, at offset j(j-1)/2."""
     code = 0
@@ -530,7 +543,7 @@ def _equitable(adj: np.ndarray, colors: np.ndarray) -> np.ndarray:
 
 
 def _canonical_words(adj: np.ndarray) -> np.ndarray:
-    """Canonical code of each graph in an (m, n, n) 0/1 int64 adjacency batch.
+    """Canonical code of each graph in an (m, n, n) 0/1 adjacency batch.
 
     Row k holds the code of adj[k] in int64 words of 63 bits, least
     significant word first.
@@ -547,6 +560,7 @@ def _canonical_words(adj: np.ndarray) -> np.ndarray:
     an integer (highest bit first).
     """
     m, n, _ = adj.shape
+    adj = adj.astype(np.int64)
     i, j = np.array(pairs(n), dtype=np.intp).reshape(-1, 2).T
     deg = adj.sum(axis=2)
     # Rows u and v differ off {u, v} in (Hamming distance - 2 adj[u, v]) places.
@@ -593,10 +607,7 @@ def canonical_codes(n: int, codes: np.ndarray) -> np.ndarray:
     out = np.empty(len(codes), dtype=np.int64)
     for start in range(0, len(codes), _CANONICAL_BATCH):
         chunk = codes[start:start + _CANONICAL_BATCH]
-        adj = np.zeros((len(chunk), n, n), dtype=np.int64)
-        for b, (i, j) in enumerate(pairs(n)):
-            adj[:, i, j] = adj[:, j, i] = chunk >> b & 1
-        out[start:start + len(chunk)] = _canonical_words(adj)[:, 0]
+        out[start:start + len(chunk)] = _canonical_words(adjacency(n, chunk))[:, 0]
     return out
 
 
@@ -607,8 +618,8 @@ def canonical_code(g: Graph) -> int:
     small orders (n <= 10 or so); large twin-free vertex-transitive graphs
     still get the exact code, just slowly.
     """
-    adj = np.array([[[row >> u & 1 for u in range(g.n)] for row in g.rows]], dtype=np.int64)
-    return sum(int(word) << 63 * k for k, word in enumerate(_canonical_words(adj)[0]))
+    words = _canonical_words(g.adjacency_matrix()[None])[0]
+    return sum(int(word) << 63 * k for k, word in enumerate(words))
 
 
 def is_isomorphic(g1: Graph, g2: Graph) -> bool:

@@ -47,6 +47,7 @@ from .cliques import contains_complete_multipartite, is_kr_free
 from .graph6 import write_graph6
 from .graphs import (
     Graph,
+    adjacency,
     canonical_codes,
     complement,
     connected_components,
@@ -64,6 +65,7 @@ from .spectra import (
     EQUALITY_TOL,
     STRICT_TOL,
     algebraic_connectivity,
+    laplacians,
 )
 
 __all__ = [
@@ -130,37 +132,22 @@ class GraphTable:
 
 
 def _chunk_tables(n: int, codes: np.ndarray):
-    """(omega, alpha, connected) for each code, from one batched eigensolve."""
+    """(omega, alpha, connected) for each code, from one eigensolve of spectra.laplacians."""
     m = len(codes)
-    lap = np.zeros((m, n, n))
-    rows = np.zeros((n, m), dtype=np.int64)
-    for idx, (i, j) in enumerate(pairs(n)):
-        b = (codes >> idx) & 1
-        bf = b.astype(np.float64)
-        # Absent edges get -0.0 (spectra.laplacian: +0.0); LAPACK sees the sign of zero.
-        lap[:, i, j] = -bf
-        lap[:, j, i] = -bf
-        lap[:, i, i] += bf
-        lap[:, j, j] += bf
-        rows[i] |= b << j
-        rows[j] |= b << i
-
-    alpha = np.linalg.eigvalsh(lap)[:, 1].copy() if n >= 2 else np.zeros(m)
+    adj = adjacency(n, codes)
+    alpha = np.linalg.eigvalsh(laplacians(adj))[:, 1].copy() if n >= 2 else np.zeros(m)
+    rows = np.einsum("mvu,u->mv", adj, 1 << np.arange(n))  # rows[:, v]: v's neighbour bits
     reach = np.ones(m, dtype=np.int64)
     for _ in range(n - 1):
-        grown = reach
         for v in range(n):
-            grown = grown | (rows[v] * ((reach >> v) & 1))
-        reach = grown
+            reach |= rows[:, v] * (reach >> v & 1)
     connected = reach == (1 << n) - 1
     alpha[~connected] = 0.0
 
     omega = np.ones(m, dtype=np.uint8)
     for size in range(2, n + 1):
         for subset in combinations(range(n), size):
-            mask = 0
-            for a, b in combinations(subset, 2):
-                mask |= 1 << pair_index(a, b)
+            mask = sum(1 << pair_index(a, b) for a, b in combinations(subset, 2))
             omega[(codes & mask) == mask] = size
     return omega, alpha, connected
 
@@ -233,23 +220,20 @@ def _classes(n: int, dcap: int | None = None) -> tuple[np.ndarray, np.ndarray]:
     A degree cap keeps that exact, because deleting a vertex raises no
     degree: the capped graphs grow from the capped parents alone, and only
     the children within the cap (a neighbour set of at most dcap vertices,
-    each still below dcap in the parent) are keyed.
+    each still below dcap in the parent's adjacency degrees) are keyed.
     """
     if n == 1:
         codes, weights = np.zeros(1, np.int64), np.ones(1, np.int64)
     else:
         shift = (n - 1) * (n - 2) // 2  # bit offset of column n-1 in a code
         parents, parent_weights = _classes(n - 1, dcap)
-        columns = np.arange(1 << (n - 1), dtype=np.int64) << shift
-        children = (parents[:, None] | columns).ravel()
-        inherited = np.repeat(parent_weights, len(columns))
+        sets = np.arange(1 << (n - 1), dtype=np.int64)
+        children = (parents[:, None] | sets << shift).ravel()
+        inherited = np.repeat(parent_weights, len(sets))
         if dcap is not None:
-            degree = np.zeros((n, len(children)), np.int64)
-            for b, (i, j) in enumerate(pairs(n)):
-                bit = children >> b & 1
-                degree[i] += bit
-                degree[j] += bit
-            within = degree.max(axis=0) <= dcap
+            at_cap = (adjacency(n - 1, parents).sum(axis=2) >= dcap) @ (1 << np.arange(n - 1))
+            size = adjacency(n, sets << shift)[:, n - 1].sum(axis=1)
+            within = (((at_cap[:, None] & sets) == 0) & (size <= dcap)).ravel()
             children, inherited = children[within], inherited[within]
         codes, owner = np.unique(canonical_codes(n, children), return_inverse=True)
         weights = np.zeros(len(codes), dtype=np.int64)
@@ -261,11 +245,10 @@ def _classes(n: int, dcap: int | None = None) -> tuple[np.ndarray, np.ndarray]:
 @functools.cache
 def _pair_images(n: int) -> np.ndarray:
     """images[b, p]: the code bit that the p-th permutation of range(n) sends bit b to."""
-    bit = np.zeros((n, n), np.uint8)  # bit[u, v]: the code bit of pair {u, v}
-    for b, (i, j) in enumerate(pairs(n)):
-        bit[i, j] = bit[j, i] = b
-    perms = np.array(list(permutations(range(n))), dtype=np.uint8)
     i, j = np.array(pairs(n), dtype=np.intp).reshape(-1, 2).T
+    bit = np.zeros((n, n), np.uint8)  # bit[u, v]: the code bit of pair {u, v}
+    bit[i, j] = bit[j, i] = np.arange(len(i))
+    perms = np.array(list(permutations(range(n))), dtype=np.uint8)
     return np.ascontiguousarray(bit[perms[:, i], perms[:, j]].T)
 
 
@@ -283,7 +266,7 @@ def _corpus_table(corpus, n: int, jobs: int | None) -> GraphTable:
     """Invariant table over a corpus of order-n graphs, consumed once, rows in order.
 
     Each item is a Graph, encoded here, or an (order, code) pair as
-    graph6.read_codes yields, tabled as given.
+    graph6.read_codes yields, tabled as given if 0 <= code < 2^(n(n-1)/2).
     """
     if n > 11:
         raise ValueError(f"corpus order {n} beyond 11: its codes would not fit in 64 bits")
@@ -295,7 +278,10 @@ def _corpus_table(corpus, n: int, jobs: int | None) -> GraphTable:
                 raise ValueError(f"corpus graph of order {order}, expected {n}")
             yield code
 
-    return _table(n, np.fromiter(checked_codes(), dtype=np.int64), jobs=jobs)
+    codes = np.fromiter(checked_codes(), dtype=np.int64)
+    if len(bad := np.flatnonzero(codes >> (n * (n - 1) // 2))):
+        raise ValueError(f"corpus item {bad[0]}: code {codes[bad[0]]} out of range for order {n}")
+    return _table(n, codes, jobs=jobs)
 
 
 # ---------------------------------------------------------------------------

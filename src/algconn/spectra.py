@@ -3,7 +3,8 @@
 The Laplacian of a graph is L = D - A (degree matrix minus adjacency).  Its
 eigenvalues are reported in descending order lambda_1 >= ... >= lambda_n = 0;
 the second-smallest, lambda_{n-1}, is the algebraic connectivity alpha, which
-is positive exactly when the graph is connected.
+is positive exactly when the graph is connected.  laplacians is the one
+Laplacian builder, for one graph and for the batched tables alike.
 """
 
 from __future__ import annotations
@@ -19,6 +20,7 @@ __all__ = [
     "Spectrum",
     "FiedlerVector",
     "laplacian",
+    "laplacians",
     "eig_sym",
     "algebraic_connectivity",
     "fiedler_vector",
@@ -87,16 +89,21 @@ class FiedlerVector:
     multiplicity: int
 
 
+def laplacians(adj: np.ndarray) -> np.ndarray:
+    """D - A of an (n, n) 0/1 adjacency matrix or an (m, n, n) stack, in float64.
+
+    Non-edges hold -0.0.  LAPACK sees the sign of zero, so every alpha, per
+    graph or batched, is solved from this one layout and agrees bit for bit.
+    """
+    lap = np.negative(adj, dtype=np.float64)
+    diag = np.arange(adj.shape[-1])
+    lap[..., diag, diag] = adj.sum(axis=-1)
+    return lap
+
+
 def laplacian(g: Graph) -> np.ndarray:
-    """Laplacian matrix D - A as a dense float array with exact zero row sums."""
-    out = np.zeros((g.n, g.n))
-    for v in range(g.n):
-        row = g.rows[v]
-        for u in range(g.n):
-            if row >> u & 1:
-                out[v, u] = -1.0
-        out[v, v] = float(row.bit_count())
-    return out
+    """Laplacian matrix D - A of g, as laplacians builds it."""
+    return laplacians(g.adjacency_matrix())
 
 
 def eig_sym(m: np.ndarray, tol: float = BOUND_TOL) -> Spectrum:
@@ -132,8 +139,7 @@ def algebraic_connectivity(g: Graph) -> float:
     if not is_connected(g):
         # Structural zero; skips eigensolver noise around the double root at 0.
         return 0.0
-    vals = np.linalg.eigvalsh(laplacian(g))
-    return float(vals[1])
+    return float(np.linalg.eigvalsh(laplacian(g))[1])
 
 
 def fiedler_vector(g: Graph) -> FiedlerVector:
@@ -152,8 +158,7 @@ def fiedler_vector(g: Graph) -> FiedlerVector:
 
 def lambda_max(g: Graph) -> float:
     """Largest Laplacian eigenvalue lambda_1 (0 for a single vertex)."""
-    vals = np.linalg.eigvalsh(laplacian(g))
-    return float(vals[-1])
+    return float(np.linalg.eigvalsh(laplacian(g))[-1])
 
 
 def complement_alpha_check(g: Graph) -> tuple[float, float]:

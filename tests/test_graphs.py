@@ -5,6 +5,7 @@ import time
 from fractions import Fraction
 from itertools import combinations
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -226,6 +227,17 @@ class TestCodes:
     @given(small_graphs())
     def test_roundtrip_random(self, g):
         assert decode(g.n, encode(g)) == g
+
+    def test_batched_adjacency_matches_each_graph(self):
+        for n in range(1, 6):
+            codes = np.arange(1 << (n * (n - 1) // 2), dtype=np.int64)
+            adj = graphs.adjacency(n, codes)
+            assert adj.shape == (len(codes), n, n) and adj.dtype == np.uint8
+            for code in codes:
+                g = decode(n, int(code))
+                assert np.array_equal(adj[code], g.adjacency_matrix())
+                assert adj[code].tolist() == [[int(g.has_edge(v, u)) for u in range(n)]
+                                              for v in range(n)]
 
 
 class TestConnectivity:

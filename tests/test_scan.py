@@ -17,14 +17,17 @@ from algconn.graphs import (
     complete_multipartite,
     connected_components,
     decode,
+    encode,
     induced_subgraph,
     is_connected,
     is_isomorphic,
     join,
     kite,
     path,
+    tailed_clique,
     turan,
 )
+from algconn import cli
 from algconn import scan as scan_mod
 from algconn.scan import (
     build_graph_table,
@@ -34,7 +37,7 @@ from algconn.scan import (
     verify_min_theorem,
     verify_supersaturation,
 )
-from algconn.spectra import BOUND_TOL, EQUALITY_TOL, STRICT_TOL
+from algconn.spectra import BOUND_TOL, EQUALITY_TOL, STRICT_TOL, algebraic_connectivity
 
 class TestEnumeration:
     def test_order_three(self):
@@ -51,7 +54,6 @@ class TestEnumeration:
 class TestGraphTable:
     def test_matches_direct_computation(self):
         from algconn.cliques import max_clique
-        from algconn.spectra import laplacian
 
         table = build_graph_table(5)
         rng = np.random.default_rng(5)
@@ -59,11 +61,17 @@ class TestGraphTable:
             g = decode(5, int(code))
             assert table.omega[code] == max_clique(g).omega
             assert table.connected[code] == is_connected(g)
-            if is_connected(g):
-                direct = float(np.linalg.eigvalsh(laplacian(g))[1])
-                assert abs(table.alpha[code] - direct) < 1e-10
-            else:
+            assert table.alpha[code] == algebraic_connectivity(g)
+            if not is_connected(g):
                 assert table.alpha[code] == 0.0
+
+    @pytest.mark.parametrize("n", range(6, 12))
+    def test_batched_alpha_is_the_per_graph_alpha_bit_for_bit(self, n):
+        rng = np.random.default_rng(n)
+        codes = rng.integers(0, 1 << (n * (n - 1) // 2), 300, dtype=np.int64)
+        table = scan_mod._table(n, codes, jobs=1)
+        direct = np.array([algebraic_connectivity(decode(n, int(code))) for code in codes])
+        assert table.alpha.tobytes() == direct.tobytes()
 
     def test_jobs_do_not_change_results(self):
         from algconn import scan
@@ -345,6 +353,17 @@ class TestMaxTheorem:
         with pytest.raises(ValueError, match="order 5, expected 4"):
             verify_max_theorem(4, 2, corpus=[(4, 0), (5, 0)])
 
+    def test_out_of_range_codes_are_refused(self):
+        good = (5, encode(turan(5, 2)))
+        for bad in (encode(path(5)) - 2**40, -1, 1 << 10):
+            message = f"^corpus item 1: code {bad} out of range for order 5$"
+            for verify in (verify_max_theorem, verify_min_theorem):
+                with pytest.raises(ValueError, match=message):
+                    verify(5, 2, corpus=[good, (5, bad)])
+        with pytest.raises(ValueError, match="^corpus item 0: code -1 out"):
+            verify_max_theorem(5, 2, corpus=[(5, -1)])
+        assert verify_max_theorem(5, 2, corpus=[good, (5, (1 << 10) - 1)]).ok
+
     def test_code_pairs_and_graphs_give_identical_certificates(self):
         graphs = [decode(5, code) for code in range(1 << 10)]
         pairs = [(5, code) for code in range(1 << 10)]
@@ -431,6 +450,27 @@ class TestMinTheorem:
         rows = int(eligible.sum())
         assert [most for count, most in expanded if count == rows] == [20]
         assert 20 * rows < int(table.weights[eligible].sum())
+
+
+class TestSeededDefects:
+    """Scans of wrong claims: each must fail, so an ok verdict means something."""
+
+    def test_wrong_kite_undershoots_the_bound(self, monkeypatch):
+        # alpha(tailed_clique(3, 1, 1)) = 0.697, above the order-5 kite's 0.519.
+        monkeypatch.setattr(scan_mod, "kite", lambda n, r: tailed_clique(3, 1, 1))
+        everything = [(5, code) for code in range(1 << 10)]
+        for cert in (verify_min_theorem(5, 3), verify_min_theorem(5, 3, corpus=everything)):
+            assert not cert.ok
+            assert cert.bound == pytest.approx(0.697, abs=1e-3)
+            assert "bound-undershot" in {c["reason"] for c in cert.counterexamples}
+        assert cli.main(["scan", "min", "5", "3"]) == 1
+
+    def test_wrong_turan_target_fails_the_characterization(self, monkeypatch):
+        monkeypatch.setattr(scan_mod, "turan", lambda n, r: complete_multipartite(3, 2, 1))
+        cert = verify_max_theorem(6, 3)
+        assert not cert.ok and not cert.characterization_ok
+        assert "characterization-failed" in {c["reason"] for c in cert.counterexamples}
+        assert cli.main(["scan", "max", "6", "3"]) == 1
 
 
 def _join_form_brute(g, n, r, tol=BOUND_TOL):

@@ -30,6 +30,7 @@ from algconn.spectra import (
     fiedler_vector,
     lambda_max,
     laplacian,
+    laplacians,
 )
 
 
@@ -60,6 +61,21 @@ class TestLaplacian:
     def test_row_sums_vanish(self):
         lap = laplacian(turan(7, 3))
         assert np.array_equal(lap.sum(axis=1), np.zeros(7))
+
+    def test_non_edges_hold_negative_zero(self):
+        lap = laplacian(kite(5, 3))
+        off = ~np.eye(5, dtype=bool)
+        assert np.array_equal(np.signbit(lap[off]), np.ones(20, dtype=bool))
+        assert not np.signbit(laplacian(empty(3))[np.eye(3, dtype=bool)]).any()
+
+    def test_one_builder_for_a_graph_and_a_stack(self):
+        from algconn.graphs import adjacency
+
+        codes = np.arange(1 << 10, dtype=np.int64)
+        stack = laplacians(adjacency(5, codes))
+        assert stack.shape == (len(codes), 5, 5) and stack.dtype == np.float64
+        for code in codes:
+            assert stack[code].tobytes() == laplacian(decode(5, int(code))).tobytes()
 
 
 class TestEigSym:

@@ -1,9 +1,11 @@
 """Graph construction and structural-query tests."""
 
+import functools
+import hashlib
 import random
 import time
 from fractions import Fraction
-from itertools import combinations
+from itertools import combinations, product
 
 import numpy as np
 import pytest
@@ -12,6 +14,7 @@ from hypothesis import strategies as st
 
 from algconn import graphs
 from algconn.cliques import is_kr_free
+from algconn.graph6 import write_graph6
 from algconn.graphs import (
     Graph,
     attach_path,
@@ -383,3 +386,63 @@ class TestAlgebraicIdentities:
     @settings(max_examples=60, deadline=None)
     def test_complement_involution(self, g):
         assert complement(complement(g)) == g
+
+
+@functools.cache
+def _family_members():
+    """Every family member on the pinned grid, by family, in a fixed order."""
+    rng = random.Random(17)
+
+    def random_graph(lo, hi):
+        n = rng.randint(lo, hi)
+        return decode(n, rng.getrandbits(n * (n - 1) // 2))
+
+    def random_relabeling():
+        g = random_graph(1, 9)
+        perm = list(range(g.n))
+        rng.shuffle(perm)
+        return relabel(g, perm)
+
+    small = range(1, 10)
+    return {
+        "complete": [complete(n) for n in small],
+        "empty": [empty(n) for n in small],
+        "path": [path(n) for n in small],
+        "star": [star(n) for n in small],
+        "cycle": [cycle(n) for n in range(3, 10)],
+        "turan": [turan(n, r) for n in range(1, 11) for r in range(1, n + 1)],
+        "kite": [kite(n, r) for r in range(2, 6) for n in range(r, r + 4)],
+        "tailed_clique": [tailed_clique(r, k, l)
+                          for r in range(3, 6) for k in range(4) for l in range(4)],
+        "theta_kite": [theta_kite(r, k) for r in range(3, 6) for k in range(1, 4)],
+        "complete_multipartite": [complete_multipartite(*sizes) for m in range(1, 5)
+                                  for sizes in product(range(1, 4), repeat=m)],
+        "join": [join(random_graph(1, 6), random_graph(1, 6)) for _ in range(200)],
+        "relabel": [random_relabeling() for _ in range(300)],
+    }
+
+
+#: sha256 of each family's graph6 strings, one per line, on the grid above.
+_FAMILY_DIGESTS = {
+    "complete": "d6da72036feaa5e7c152c3bba1f9ec835c06ac3a895bbb17dd8af63013b9160c",
+    "complete_multipartite": "51fa96d5786256f3225a9dc3770a6020f42742f7d6f382a51a871ccd244751b9",
+    "cycle": "6a8d84a3c98739e3799f2acbbed3d01d480f7236db57303aab248cebb74d4be2",
+    "empty": "b5761be0166837a1f64a185849d1183db851986f23c7e940d937eafcaf2f35f7",
+    "join": "747d95f448197750b3f7510d1f4f8ff39dad27f6703c763e4bda839da9ec841e",
+    "kite": "2676f62296f0166f54ab6ea510418c771e92c78e91fbc3539c47ba418900425b",
+    "path": "c798a3979235531d896794d2b25a52c439ada25b5089909d9e4109dc88f5a3a4",
+    "relabel": "818ada4f229201e0772b12778bf64c4a790632b87c25d7d4463d451179ae41d7",
+    "star": "93bfb31c69087680ee7f61b7cafc5bdcd810b6db25e7ed636089658719ea3111",
+    "tailed_clique": "5065a47f58e5e2dad408225f9866004a18677da15a5cdc7a53188b5b59572e81",
+    "theta_kite": "203c487962178b66ec84f66b07bccee0828f0ec0e1dfe96c92a9788bf23dd653",
+    "turan": "0368f4d5441d27a14ffa3c0545dbc5649342e6fcba84fa38a27d4a2d4c3897c3",
+}
+
+
+class TestFamilyPins:
+    """The families' exact labelings, pinned so that a rewrite keeps every graph6 byte."""
+
+    @pytest.mark.parametrize("family", sorted(_FAMILY_DIGESTS))
+    def test_graph6_digest(self, family):
+        text = "\n".join(write_graph6(g) for g in _family_members()[family])
+        assert hashlib.sha256(text.encode()).hexdigest() == _FAMILY_DIGESTS[family]

@@ -17,6 +17,7 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+from dataclasses import asdict
 
 from . import bounds as bounds_mod
 from . import scan as scan_mod
@@ -117,7 +118,7 @@ def _spectrum_report(g, tol: float) -> dict:
     }
     if g.n >= 2:
         connected = is_connected(g)
-        report["alpha"] = spec.alpha if connected else 0.0
+        report["alpha"] = report["eigenvalues"][-2] if connected else 0.0
         if connected:
             fv = spec.fiedler()
             report["fiedler"] = [round(float(v), 12) for v in fv.values]
@@ -157,16 +158,9 @@ def cmd_theta(args) -> int:
 
 
 def cmd_sign(args) -> int:
-    report = transforms_mod.fiedler_sign_report(TailedCliqueSpec(args.r, args.k, args.l))
-    _emit(
-        [{
-            "r": args.r, "k": args.k, "l": args.l,
-            "alpha": report.alpha, "multiplicity": report.multiplicity,
-            "skipped": report.skipped, "hub_spread": report.hub_spread,
-            "end_product": report.end_product, "monotone_ok": report.monotone_ok,
-        }],
-        args.format,
-    )
+    report = asdict(transforms_mod.fiedler_sign_report(TailedCliqueSpec(args.r, args.k, args.l)))
+    spec = report.pop("spec")
+    _emit([{**spec, **report}], args.format)
     return 0
 
 

@@ -3,12 +3,14 @@
 A graph on n vertices is stored as n integer bitmasks, one adjacency row per
 vertex.  That keeps edge tests O(1) and lets the clique and connectivity code
 work on whole neighborhoods with single AND/OR operations.  Everything here is
-immutable: operations return new Graph values.
+immutable: operations return new Graph values.  The families are built from
+complement, disjoint union and pendant paths.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import reduce
 
 import numpy as np
 
@@ -133,10 +135,7 @@ def empty(n: int) -> Graph:
 
 
 def complete(n: int) -> Graph:
-    if n < 1:
-        raise ValueError(f"order must be positive, got {n}")
-    full = (1 << n) - 1
-    return Graph(n, tuple(full ^ (1 << v) for v in range(n)))
+    return complement(empty(n))
 
 
 def path(n: int) -> Graph:
@@ -178,24 +177,12 @@ def turan_edge_count(n: int, r: int) -> int:
 
 
 def complete_multipartite(*sizes: int) -> Graph:
-    """Join of empty graphs with the given part sizes (parts numbered in order)."""
+    """Complement of disjoint cliques of the given sizes (parts numbered in order)."""
     if not sizes:
         raise ValueError("need at least one part")
     if any(s < 1 for s in sizes):
         raise ValueError(f"part sizes must be positive, got {sizes}")
-    n = sum(sizes)
-    edges = []
-    start = 0
-    bounds = []
-    for s in sizes:
-        bounds.append((start, start + s))
-        start += s
-    for a in range(len(sizes)):
-        for b in range(a + 1, len(sizes)):
-            for u in range(*bounds[a]):
-                for v in range(*bounds[b]):
-                    edges.append((u, v))
-    return Graph.from_edges(n, edges)
+    return complement(reduce(disjoint_union, map(complete, sizes)))
 
 
 def kite(n: int, r: int) -> Graph:
@@ -247,15 +234,7 @@ def theta_kite(r: int, k: int) -> Graph:
 
 def join(g1: Graph, g2: Graph) -> Graph:
     """Disjoint union plus every edge between the two vertex sets."""
-    g = disjoint_union(g1, g2)
-    rows = list(g.rows)
-    left = (1 << g1.n) - 1
-    right = ((1 << g.n) - 1) ^ left
-    for v in range(g1.n):
-        rows[v] |= right
-    for v in range(g1.n, g.n):
-        rows[v] |= left
-    return Graph(g.n, tuple(rows))
+    return complement(disjoint_union(complement(g1), complement(g2)))
 
 
 def disjoint_union(g1: Graph, g2: Graph) -> Graph:
@@ -321,11 +300,7 @@ def relabel(g: Graph, perm) -> Graph:
     perm = list(perm)
     if sorted(perm) != list(range(g.n)):
         raise ValueError("not a permutation of the vertex set")
-    rows = [0] * g.n
-    for v in range(g.n):
-        for u in _bits(g.rows[v]):
-            rows[perm[v]] |= 1 << perm[u]
-    return Graph(g.n, tuple(rows))
+    return induced_subgraph(g, sorted(range(g.n), key=perm.__getitem__))
 
 
 # ---------------------------------------------------------------------------

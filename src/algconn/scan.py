@@ -115,20 +115,17 @@ class GraphTable:
         """The graph in one row of the table."""
         return decode(self.n, int(self.codes[row]))
 
-    def labeled(self, rows: np.ndarray, first: int | None = None) -> tuple[np.ndarray, np.ndarray]:
-        """(codes, owner): the labeled graphs in these rows, in scan order.
+    def labeled(self, rows: np.ndarray, first: int | None = None) -> np.ndarray:
+        """Codes of the labeled graphs in these rows, in scan order.
 
         Labeled rows keep their order.  Class rows expand to every labeling
         of their class, or to the `first` lowest codes of it, sorted by code,
-        as a scan over all codes meets them.  owner[i] is the row that
-        codes[i] belongs to.
+        as a scan over all codes meets them.
         """
         if self.weights is None:
-            return self.codes[rows], rows
+            return self.codes[rows]
         parts = [_labelings(self.n, int(self.codes[row]))[:first] for row in rows]
-        codes = np.concatenate([np.zeros(0, np.int64), *parts])
-        order = np.argsort(codes)
-        return codes[order], np.repeat(rows, [len(p) for p in parts])[order]
+        return np.sort(np.concatenate([np.zeros(0, np.int64), *parts]))
 
 
 def _chunk_tables(n: int, codes: np.ndarray):
@@ -357,20 +354,19 @@ def _extremal_scan(
         raise ValueError("corpus contained no eligible graphs")
     alphas = table.alpha[eligible]
     extremum = alphas.max() if mode == "max" else alphas.min()
-    hit, owner = table.labeled(
-        np.nonzero(eligible & (np.abs(table.alpha - extremum) <= EQUALITY_TOL))[0])
-    exact = _table(table.n, hit, jobs=jobs).alpha
+    hits = np.nonzero(eligible & (np.abs(table.alpha - extremum) <= EQUALITY_TOL))[0]
+    exact = _table(table.n, table.labeled(hits), jobs=jobs).alpha
     achieved = float(exact.max() if mode == "max" else exact.min())
     counterexamples = [
         _counterexample(decode(table.n, int(code)), reason)
-        for code in table.labeled(np.nonzero(eligible & beyond)[0], first=20)[0][:20]
+        for code in table.labeled(np.nonzero(eligible & beyond)[0], first=20)[:20]
     ]
     if abs(achieved - bound) > EQUALITY_TOL:
         counterexamples.append(
             {"graph6": write_graph6(target), "alpha": bound, "reason": "extremum-mismatch"}
         )
     # Each row's first labeling; labeled rows of one class share a canonical code.
-    firsts = hit[np.sort(np.unique(owner, return_index=True)[1])]
+    firsts = table.labeled(hits, first=1)
     keys = canonical_codes(table.n, firsts)
     reps = [decode(table.n, int(code))
             for code in firsts[np.sort(np.unique(keys, return_index=True)[1])]]
@@ -582,7 +578,7 @@ def verify_supersaturation(
     return SupersaturationReport(
         n=n, r=r, k=k, epsilon=epsilon, threshold=threshold, parts=parts,
         qualifying=qualifying,
-        violations=[write_graph6(decode(n, int(code))) for code in table.labeled(failing)[0]],
+        violations=[write_graph6(decode(n, int(code))) for code in table.labeled(failing)],
         vacuous=qualifying == 0, graphs_scanned=total,
         candidates_examined=int(weights.sum()),
         source=f"pruned-enumeration (complement max degree <= {dcap})",

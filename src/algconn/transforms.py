@@ -139,17 +139,11 @@ def switch_clique_attachment(spec: TailedCliqueSpec) -> tuple[Graph, Graph]:
     Returns (grow-first-tail, grow-second-tail); they are isomorphic to the
     tailed cliques with parameters (k+1, l-1) and (k-1, l+1).
     """
-    if spec.k < 1 or spec.l < 1:
-        raise ValueError("switching needs both tails nonempty")
-    g = tailed_clique(spec.r, spec.k, spec.l)
-    hubs = range(2, spec.r)
-    u, v = 0, 1
-    u1, v1 = spec.r, spec.r + spec.k
-    grow_first = g
-    grow_second = g
-    for w in hubs:
-        grow_first = add_edge(remove_edge(grow_first, u, w), v1, w)
-        grow_second = add_edge(remove_edge(grow_second, v, w), u1, w)
+    first, second = tailed_clique_tails(spec)
+    grow_first = grow_second = tailed_clique(spec.r, spec.k, spec.l)
+    for w in range(2, spec.r):  # the hubs
+        grow_first = add_edge(remove_edge(grow_first, first.root, w), second.vertices[0], w)
+        grow_second = add_edge(remove_edge(grow_second, second.root, w), first.vertices[0], w)
     return grow_first, grow_second
 
 
@@ -240,8 +234,7 @@ class FiedlerSignReport:
 
 
 def fiedler_sign_report(spec: TailedCliqueSpec) -> FiedlerSignReport:
-    if spec.k < 1 or spec.l < 1:
-        raise ValueError("sign structure needs both tails nonempty")
+    first, second = tailed_clique_tails(spec)
     g = tailed_clique(spec.r, spec.k, spec.l)
     fv = fiedler_vector(g)
     if fv.multiplicity > 1:
@@ -249,20 +242,15 @@ def fiedler_sign_report(spec: TailedCliqueSpec) -> FiedlerSignReport:
     x = fv.values
     hubs = x[2:spec.r]
     spread = float(hubs.max() - hubs.min()) if len(hubs) else 0.0
-    first_end = spec.r + spec.k - 1
-    second_end = spec.n - 1
-    product = float(x[first_end] * x[second_end])
+    product = float(x[first.end] * x[second.end])
     # Orient so the hubs sit on the nonnegative side, then walk out along
     # whichever tail has the positive end.
     hub_value = float(hubs.mean()) if len(hubs) else 0.0
     if hub_value < 0:
         x = -x
         hub_value = -hub_value
-    if x[first_end] > 0:
-        root, tail = 0, list(range(spec.r, spec.r + spec.k))
-    else:
-        root, tail = 1, list(range(spec.r + spec.k, spec.n))
-    walk = [hub_value, float(x[root])] + [float(x[t]) for t in tail]
+    tail = first if x[first.end] > 0 else second
+    walk = [hub_value, float(x[tail.root])] + [float(x[t]) for t in tail.vertices]
     monotone = all(a < b for a, b in zip(walk, walk[1:]))
     return FiedlerSignReport(spec, fv.alpha, fv.multiplicity, False, spread, product, monotone)
 
@@ -279,6 +267,12 @@ def theta_vs_kite(r: int, k: int) -> tuple[float, float]:
     return alpha_theta, alpha_kite
 
 
+def _two_tail_splits(r: int, total: int) -> list[tuple[int, int, float]]:
+    """(k, l, alpha(tailed_clique(r, k, l))) for k + l = total, k >= l >= 1, ascending in k."""
+    return [(k, total - k, algebraic_connectivity(tailed_clique(r, k, total - k)))
+            for k in range((total + 1) // 2, total)]
+
+
 def kite_minimality_chain(r: int, n: int) -> list[tuple[int, int, float]]:
     """Alpha over all two-tail splits of n - r, shown strictly above the kite.
 
@@ -291,10 +285,7 @@ def kite_minimality_chain(r: int, n: int) -> list[tuple[int, int, float]]:
     total = n - r
     if total < 2:
         raise ValueError(f"need n >= r + 2, got n={n}, r={r}")
-    rows = []
-    for k in range((total + 1) // 2, total):
-        l = total - k
-        rows.append((k, l, algebraic_connectivity(tailed_clique(r, k, l))))
+    rows = _two_tail_splits(r, total)
     alpha_kite = algebraic_connectivity(kite(n, r))
     for (k1, l1, a1), (k2, l2, a2) in zip(rows, rows[1:]):
         if not a1 > a2 + STRICT_TOL:
@@ -313,10 +304,5 @@ def kite_minimality_chain(r: int, n: int) -> list[tuple[int, int, float]]:
 
 def tailed_clique_sweep(rs=(3, 4, 5), max_total: int = 10) -> list[tuple[int, int, int, float]]:
     """(r, k, l, alpha) over the standard verification grid, deterministic order."""
-    out = []
-    for r in rs:
-        for total in range(2, max_total + 1):
-            for k in range((total + 1) // 2, total):
-                l = total - k
-                out.append((r, k, l, algebraic_connectivity(tailed_clique(r, k, l))))
-    return out
+    return [(r, *split) for r in rs for total in range(2, max_total + 1)
+            for split in _two_tail_splits(r, total)]

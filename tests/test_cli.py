@@ -72,6 +72,13 @@ class TestSpectrum:
         assert data["eigenvalues"] == [3, 3, 0]
         assert data["alpha"] == pytest.approx(3, abs=1e-9)
 
+    def test_alpha_is_the_reported_eigenvalue(self, capsys):
+        # K_5: every nonzero eigenvalue rounds to 5.0, and so must alpha.
+        code, out, _ = run_cli(capsys, "--format", "json", "spectrum", "D~{")
+        data = json.loads(out)
+        assert data["eigenvalues"] == [5.0, 5.0, 5.0, 5.0, 0.0]
+        assert data["alpha"] == data["eigenvalues"][-2] == 5.0
+
     def test_turan_alpha(self, capsys):
         g6 = write_graph6(turan(6, 3))
         code, out, _ = run_cli(capsys, "--format", "json", "spectrum", g6)
@@ -225,6 +232,11 @@ class TestTransform:
         code, _, err = run_cli(capsys, "transform", "sign", "4", "3")
         assert code == 2
         assert "required: l" in err
+
+    def test_sign_refuses_an_empty_tail(self, capsys):
+        code, out, err = run_cli(capsys, "transform", "sign", "3", "0", "1")
+        assert code == 2 and out == ""
+        assert err == "error: both tails must be nonempty\n"
 
 
 class TestScan:

@@ -430,9 +430,10 @@ class TestMinTheorem:
         real = scan_mod.GraphTable.labeled
 
         def spy(self, rows, first=None):
-            codes, owner = real(self, rows, first)
-            expanded.append((len(rows), np.unique(owner, return_counts=True)[1].max()))
-            return codes, owner
+            codes = real(self, rows, first)
+            most = np.unique(canonical_codes(n, codes), return_counts=True)[1].max()
+            expanded.append((len(rows), most))
+            return codes
 
         monkeypatch.setattr(scan_mod.GraphTable, "labeled", spy)
         target = kite(n, r)
@@ -471,6 +472,28 @@ class TestSeededDefects:
         assert not cert.ok and not cert.characterization_ok
         assert "characterization-failed" in {c["reason"] for c in cert.counterexamples}
         assert cli.main(["scan", "max", "6", "3"]) == 1
+
+    @pytest.mark.parametrize("mode, reason", [("max", "bound-exceeded"), ("min", "bound-undershot")])
+    def test_bound_shifted_against_the_scan(self, monkeypatch, mode, reason):
+        # A negative tolerance moves the bound 1e-3 towards the extremum, so
+        # the graphs that attain it now break it.
+        verify = getattr(scan_mod, f"verify_{mode}_theorem")
+        everything = [(6, code) for code in range(1 << 15)]
+        for cert in (verify(6, 3, tol=-1e-3), verify(6, 3, tol=-1e-3, corpus=everything)):
+            assert not cert.ok
+            assert reason in {c["reason"] for c in cert.counterexamples}
+        monkeypatch.setattr(scan_mod, f"verify_{mode}_theorem",
+                            lambda *args, **kw: verify(*args, **{**kw, "tol": -1e-3}))
+        assert cli.main(["scan", mode, "6", "3"]) == 1
+
+    def test_supersaturation_demanding_larger_parts(self):
+        # K_{3,3} in place of K_{2,2}: n = kr = 6, so each violation comes
+        # from the containment test, not from the n < kr shortcut.
+        assert verify_supersaturation(6, 2, 2, 0.1).ok
+        report = verify_supersaturation(6, 2, 3, 0.1)
+        assert (report.qualifying, len(report.violations)) == (76, 15)
+        assert not report.ok
+        assert cli.main(["scan", "supersat", "6", "2", "3", "0.1"]) == 1
 
 
 def _join_form_brute(g, n, r, tol=BOUND_TOL):

@@ -173,6 +173,13 @@ class TestSwitching:
 
 
 class TestSignReport:
+    def test_one_refusal_for_an_empty_tail(self):
+        # The tail layout's own check refuses, for the report and for switching.
+        for spec in (TailedCliqueSpec(3, 0, 1), TailedCliqueSpec(4, 2, 0)):
+            for rewrite in (fiedler_sign_report, switch_clique_attachment):
+                with pytest.raises(ValueError, match="^both tails must be nonempty$"):
+                    rewrite(spec)
+
     def test_small_symmetric_instance(self):
         rep = fiedler_sign_report(TailedCliqueSpec(3, 2, 2))
         if not rep.skipped:

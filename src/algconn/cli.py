@@ -24,7 +24,7 @@ from . import scan as scan_mod
 from . import transforms as transforms_mod
 from .cliques import max_clique
 from .errors import CounterexampleError, Graph6Error, NumericalError
-from .graph6 import parse_graph6, read_codes, read_corpus, write_graph6
+from .graph6 import parse_graph6, read_code_blocks, read_corpus, write_graph6
 from .graphs import (
     TailedCliqueSpec,
     complete,
@@ -109,19 +109,24 @@ def cmd_construct(args) -> int:
     return 0
 
 
+def _rounded(value) -> float:
+    # Adding 0.0 turns the -0.0 that rounding keeps from a tiny negative into 0.0.
+    return round(float(value), 12) + 0.0
+
+
 def _spectrum_report(g, tol: float) -> dict:
     spec = eig_sym(laplacian(g), tol=tol)
     report = {
         "n": g.n,
         "graph6": write_graph6(g),
-        "eigenvalues": [round(float(v), 12) for v in spec.eigenvalues],
+        "eigenvalues": [_rounded(v) for v in spec.eigenvalues],
     }
     if g.n >= 2:
         connected = is_connected(g)
         report["alpha"] = report["eigenvalues"][-2] if connected else 0.0
         if connected:
             fv = spec.fiedler()
-            report["fiedler"] = [round(float(v), 12) for v in fv.values]
+            report["fiedler"] = [_rounded(v) for v in fv.values]
             report["multiplicity"] = fv.multiplicity
         report["connected"] = connected
     return report
@@ -176,7 +181,8 @@ def cmd_extremal(args) -> int:
     common = dict(guard=args.guard, jobs=args.jobs, tol=args.tolerance)
     if args.corpus is None:
         return _report(verify(args.n, args.r, **common), args.format)
-    cert = verify(args.n, args.r, corpus=read_codes(args.corpus, strict=args.strict_g6), **common)
+    corpus = read_code_blocks(args.corpus, strict=args.strict_g6)
+    cert = verify(args.n, args.r, corpus=corpus, **common)
     cert.source = f"corpus:{args.corpus}"
     return _report(cert, args.format)
 

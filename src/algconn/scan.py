@@ -2,9 +2,14 @@
 
 The labeled graphs of order n are identified with integer codes 0 ..
 2^(n(n-1)/2) - 1 (one bit per vertex pair, in graphs.pair_index order).
-Every table is built by _table: one chunked numpy kernel, run on a thread
-pool, computes clique number, algebraic connectivity and connectivity flags
-over a code array into a GraphTable, one row per code.
+Every table is built by _table over a code array, in two chunked numpy
+passes on one thread pool: a clique-and-connectivity kernel computes every
+code's clique number and connectivity, the rows the caller keeps are picked
+from those two columns, and an alpha kernel eigensolves only the kept
+connected rows.  The extremal scans keep only the graphs their theorem
+covers (omega <= r on the max side, omega == r and connected on the min
+side), so every row of their GraphTable is eligible and no other graph is
+eigensolved.
 
 The max/min scans by enumeration and the supersaturation check run over
 isomorphism classes instead: the omega, alpha and connectivity of a graph do
@@ -15,9 +20,10 @@ are grown order by order from the previous order's representatives and
 keyed in batches by graphs.canonical_codes; the weights are counted during
 that growth.  The supersaturation check grows only the classes of bounded
 maximum degree (the complements of its pruned candidates), which reaches
-order 9.  A corpus scan tables its codes as given: the CLI streams them
-straight from graph6 text (graph6.read_codes), with no Graph per record,
-and the Python API also takes Graphs, encoded once on the way in.
+order 9.  A corpus scan tables its codes as given: the CLI hands over int64
+code arrays decoded a block of graph6 text at a time
+(graph6.read_code_blocks), with no Python object per record, and the Python
+API also takes (order, code) pairs and Graphs, encoded once on the way in.
 build_graph_table still tables every labeled code of an order up to 7, as
 an independent labeled route to check the class route against; it solves
 each code directly, through the same _table call as a corpus scan.
@@ -128,50 +134,69 @@ class GraphTable:
         return np.sort(np.concatenate([np.zeros(0, np.int64), *parts]))
 
 
-def _chunk_tables(n: int, codes: np.ndarray):
-    """(omega, alpha, connected) for each code, from one eigensolve of spectra.laplacians."""
+def _clique_kernel(n: int, codes: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """(omega, connected) for each code: clique masks and a reachability sweep, no eigensolve."""
     m = len(codes)
-    adj = adjacency(n, codes)
-    alpha = np.linalg.eigvalsh(laplacians(adj))[:, 1].copy() if n >= 2 else np.zeros(m)
-    rows = np.einsum("mvu,u->mv", adj, 1 << np.arange(n))  # rows[:, v]: v's neighbour bits
+    rows = np.einsum("mvu,u->mv", adjacency(n, codes), 1 << np.arange(n))  # v's neighbour bits
     reach = np.ones(m, dtype=np.int64)
     for _ in range(n - 1):
         for v in range(n):
             reach |= rows[:, v] * (reach >> v & 1)
     connected = reach == (1 << n) - 1
-    alpha[~connected] = 0.0
 
     omega = np.ones(m, dtype=np.uint8)
     for size in range(2, n + 1):
         for subset in combinations(range(n), size):
             mask = sum(1 << pair_index(a, b) for a, b in combinations(subset, 2))
             omega[(codes & mask) == mask] = size
-    return omega, alpha, connected
+    return omega, connected
+
+
+def _alpha_kernel(n: int, codes: np.ndarray) -> np.ndarray:
+    """Second-smallest Laplacian eigenvalue of each code, from one eigensolve of spectra.laplacians."""
+    if n < 2:
+        return np.zeros(len(codes))
+    return np.linalg.eigvalsh(laplacians(adjacency(n, codes)))[:, 1]
 
 
 def _table(n: int, codes: np.ndarray, weights: np.ndarray | None = None,
-           jobs: int | None = None) -> GraphTable:
-    """The invariant table over a code array, one row per code in the array's order.
+           jobs: int | None = None, keep=None) -> GraphTable:
+    """The invariant table over a code array, its rows in the array's order.
 
-    The codes are split into contiguous chunks handled by a thread pool of
+    A first pass computes every code's omega and connectivity.  `keep`, a
+    function of those two columns returning a row mask (None keeps every
+    row), then picks the rows the table holds, and a second pass eigensolves
+    only the kept connected rows: alpha is exactly 0.0 on the others.  Each
+    pass splits its rows into contiguous chunks mapped on one thread pool of
     at most `jobs` threads (None: one per core; the eigenvalue kernel
     releases the GIL), each writing its rows in place, so the table is
     identical regardless of jobs.
     """
     m = len(codes)
-    columns = (np.empty(m, np.uint8), np.empty(m), np.empty(m, bool))
+    omega, connected = np.empty(m, np.uint8), np.empty(m, bool)
 
-    def fill(start: int) -> None:
-        chunk = codes[start:start + _CHUNK]
-        for dest, part in zip(columns, _chunk_tables(n, chunk)):
-            dest[start:start + len(chunk)] = part
+    def classify(start: int) -> None:
+        chunk = slice(start, start + _CHUNK)
+        omega[chunk], connected[chunk] = _clique_kernel(n, codes[chunk])
 
     starts = range(0, m, _CHUNK)
     if jobs is None:
         jobs = os.cpu_count() or 1
     with ThreadPoolExecutor(max_workers=max(min(jobs, len(starts)), 1)) as pool:
-        list(pool.map(fill, starts))
-    return GraphTable(n, *columns, codes, weights)
+        list(pool.map(classify, starts))
+        if keep is not None:
+            rows = np.flatnonzero(keep(omega, connected))
+            codes, omega, connected = codes[rows], omega[rows], connected[rows]
+            weights = None if weights is None else weights[rows]
+        solve = np.flatnonzero(connected)
+        alpha = np.zeros(len(codes))
+
+        def eigensolve(start: int) -> None:
+            part = solve[start:start + _CHUNK]
+            alpha[part] = _alpha_kernel(n, codes[part])
+
+        list(pool.map(eigensolve, range(0, len(solve), _CHUNK)))
+    return GraphTable(n, omega, alpha, connected, codes, weights)
 
 
 def build_graph_table(n: int, jobs: int | None = None) -> GraphTable:
@@ -259,26 +284,30 @@ def _labelings(n: int, code: int) -> np.ndarray:
     return np.unique(out)
 
 
-def _corpus_table(corpus, n: int, jobs: int | None) -> GraphTable:
+def _corpus_table(corpus, n: int, jobs: int | None, keep=None) -> GraphTable:
     """Invariant table over a corpus of order-n graphs, consumed once, rows in order.
 
-    Each item is a Graph, encoded here, or an (order, code) pair as
-    graph6.read_codes yields, tabled as given if 0 <= code < 2^(n(n-1)/2).
+    Each item is a Graph, encoded here, an (order, code) pair as
+    graph6.read_codes yields, or an (order, codes) pair whose codes are an
+    int64 array, as graph6.read_code_blocks yields for a run of records.
+    Codes are tabled as given if 0 <= code < 2^(n(n-1)/2); `keep` is _table's.
     """
     if n > 11:
         raise ValueError(f"corpus order {n} beyond 11: its codes would not fit in 64 bits")
-
-    def checked_codes():
-        for item in corpus:
-            order, code = (item.n, encode(item)) if isinstance(item, Graph) else item
-            if order != n:
-                raise ValueError(f"corpus graph of order {order}, expected {n}")
-            yield code
-
-    codes = np.fromiter(checked_codes(), dtype=np.int64)
+    blocks, run = [], []
+    for item in corpus:
+        order, code = (item.n, encode(item)) if isinstance(item, Graph) else item
+        if order != n:
+            raise ValueError(f"corpus graph of order {order}, expected {n}")
+        if isinstance(code, np.ndarray):
+            blocks += [np.array(run, np.int64), code]
+            run = []
+        else:
+            run.append(code)
+    codes = np.concatenate([*blocks, np.array(run, np.int64)])
     if len(bad := np.flatnonzero(codes >> (n * (n - 1) // 2))):
         raise ValueError(f"corpus item {bad[0]}: code {codes[bad[0]]} out of range for order {n}")
-    return _table(n, codes, jobs=jobs)
+    return _table(n, codes, jobs=jobs, keep=keep)
 
 
 # ---------------------------------------------------------------------------
@@ -310,14 +339,15 @@ class ExtremalCertificate:
         return json.dumps(self.to_dict(), indent=2)
 
 
-def _scan_input(n: int, guard: int, jobs: int | None, corpus):
-    """The table a scan filters and the source it reports.
+def _scan_input(n: int, guard: int, jobs: int | None, corpus, keep=None):
+    """The table a scan reads and the source it reports.
 
     A corpus gives a labeled table over its graphs; enumeration gives the
-    class table.  Both are built by _table on up to `jobs` threads.
+    class table.  Both are built by _table on up to `jobs` threads and hold
+    only the rows `keep` picks (None: every row).
     """
     if corpus is not None:
-        return _corpus_table(corpus, n, jobs), "corpus"
+        return _corpus_table(corpus, n, jobs, keep), "corpus"
     if n > guard:
         raise ValueError(
             f"order {n} exceeds the enumeration guard {guard}; supply a corpus"
@@ -329,7 +359,7 @@ def _scan_input(n: int, guard: int, jobs: int | None, corpus):
             f"order {n} would key at least {12_346 << (n - 1):,} grown graphs, "
             "against 133,632 at order 8; supply a corpus beyond order 8"
         )
-    return _table(n, *_classes(n), jobs), "enumeration"
+    return _table(n, *_classes(n), jobs, keep), "enumeration"
 
 
 def _counterexample(g: Graph, reason: str) -> dict:
@@ -337,29 +367,28 @@ def _counterexample(g: Graph, reason: str) -> dict:
 
 
 def _extremal_scan(
-    table: GraphTable, r: int, mode: str, *, bound: float, eligible: np.ndarray,
-    beyond: np.ndarray, reason: str, target: Graph, achieves, source: str, jobs: int | None,
+    table: GraphTable, r: int, mode: str, *, bound: float, beyond: np.ndarray,
+    reason: str, target: Graph, achieves, source: str, jobs: int | None,
 ) -> ExtremalCertificate:
     """Certificate for one side of an extremal statement over a graph table.
 
-    `eligible` masks the rows the statement covers and `beyond` the rows
-    whose alpha breaks the bound (reported as `reason`).  The extremum of
-    alpha over the eligible rows must equal the bound, attained by `target`;
-    every equality achiever, up to isomorphism, must pass `achieves`.
-    Every labeling of the achievers (eligible rows within EQUALITY_TOL of
-    the extremum) is solved again on `jobs` threads for `achieved`, so it
-    does not depend on which labeling of its class a row holds.
+    Every row of the table is one the statement covers; `beyond` masks the
+    rows whose alpha breaks the bound (reported as `reason`).  The extremum
+    of alpha must equal the bound, attained by `target`; every equality
+    achiever, up to isomorphism, must pass `achieves`.  Every labeling of
+    the achievers (rows within EQUALITY_TOL of the extremum) is solved again
+    on `jobs` threads for `achieved`, so it does not depend on which
+    labeling of its class a row holds.
     """
-    if not eligible.any():
+    if not table.size:
         raise ValueError("corpus contained no eligible graphs")
-    alphas = table.alpha[eligible]
-    extremum = alphas.max() if mode == "max" else alphas.min()
-    hits = np.nonzero(eligible & (np.abs(table.alpha - extremum) <= EQUALITY_TOL))[0]
+    extremum = table.alpha.max() if mode == "max" else table.alpha.min()
+    hits = np.nonzero(np.abs(table.alpha - extremum) <= EQUALITY_TOL)[0]
     exact = _table(table.n, table.labeled(hits), jobs=jobs).alpha
     achieved = float(exact.max() if mode == "max" else exact.min())
     counterexamples = [
         _counterexample(decode(table.n, int(code)), reason)
-        for code in table.labeled(np.nonzero(eligible & beyond)[0], first=20)[:20]
+        for code in table.labeled(np.nonzero(beyond)[0], first=20)[:20]
     ]
     if abs(achieved - bound) > EQUALITY_TOL:
         counterexamples.append(
@@ -377,8 +406,7 @@ def _extremal_scan(
         achievers=[write_graph6(g) for g in reps],
         characterization_ok=not failing,
         counterexamples=counterexamples,
-        graphs_scanned=int(eligible.sum() if table.weights is None
-                           else table.weights[eligible].sum()),
+        graphs_scanned=int(table.size if table.weights is None else table.weights.sum()),
         source=source,
     )
 
@@ -398,8 +426,9 @@ def verify_max_theorem(
     that the equality achievers match the characterization: the Turan graph
     alone when n is 0 or r-1 mod r, otherwise a join of empty parts onto a
     sufficiently connected remainder (see check_join_characterization).
-    With a corpus (an iterable of order-n graphs, or of (order, code) pairs
-    as graph6.read_codes yields) only its graphs are scanned.
+    With a corpus (an iterable of order-n graphs, of (order, code) pairs as
+    graph6.read_codes yields, or of (order, code array) pairs as
+    graph6.read_code_blocks yields) only its graphs are scanned.
     """
     if not 2 <= r < n:
         raise ValueError(f"need 2 <= r < n, got r={r}, n={n}")
@@ -409,11 +438,10 @@ def verify_max_theorem(
         achieves = lambda g: is_isomorphic(g, target)
     else:
         achieves = lambda g: check_join_characterization(g, r, tol)
-    table, src = _scan_input(n, guard, jobs, corpus)
     # omega <= r < n also excludes the complete graph.
+    table, src = _scan_input(n, guard, jobs, corpus, keep=lambda omega, connected: omega <= r)
     return _extremal_scan(
-        table, r, "max", bound=bound, eligible=table.omega <= r,
-        beyond=table.alpha > bound + tol, reason="bound-exceeded",
+        table, r, "max", bound=bound, beyond=table.alpha > bound + tol, reason="bound-exceeded",
         target=target, achieves=achieves, source=src, jobs=jobs,
     )
 
@@ -431,17 +459,18 @@ def verify_min_theorem(
 
     Verifies that alpha never drops below the kite graph's value and that
     every equality achiever is isomorphic to the kite.  With a corpus (an
-    iterable of order-n graphs, or of (order, code) pairs as
-    graph6.read_codes yields) only its graphs are scanned.
+    iterable of order-n graphs, of (order, code) pairs as graph6.read_codes
+    yields, or of (order, code array) pairs as graph6.read_code_blocks
+    yields) only its graphs are scanned.
     """
     if not 2 <= r <= n:
         raise ValueError(f"need 2 <= r <= n, got r={r}, n={n}")
     target = kite(n, r)
     bound = algebraic_connectivity(target)
-    table, src = _scan_input(n, guard, jobs, corpus)
+    table, src = _scan_input(n, guard, jobs, corpus,
+                             keep=lambda omega, connected: (omega == r) & connected)
     return _extremal_scan(
-        table, r, "min", bound=bound, eligible=(table.omega == r) & table.connected,
-        beyond=table.alpha < bound - tol, reason="bound-undershot",
+        table, r, "min", bound=bound, beyond=table.alpha < bound - tol, reason="bound-undershot",
         target=target, achieves=lambda g: is_isomorphic(g, target), source=src, jobs=jobs,
     )
 

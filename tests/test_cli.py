@@ -20,6 +20,7 @@ from algconn.graphs import (
     complete_multipartite,
     decode,
     encode,
+    is_connected,
     is_isomorphic,
     kite,
     relabel,
@@ -108,6 +109,22 @@ class TestSpectrum:
         assert [i for i, line in enumerate(lines) if line.startswith("n,")] == [0, 3]
         assert lines[0].split(",")[-3:] == ["fiedler", "multiplicity", "connected"]
         assert lines[3] == "n,graph6,eigenvalues,alpha,connected"
+
+    def test_no_report_prints_a_negative_zero(self, capsys, monkeypatch):
+        # Rounding keeps LAPACK's sign on a zero eigenvalue or Fiedler entry.
+        rng = np.random.default_rng(6)
+        graphs = [g for g in (decode(6, int(c)) for c in rng.integers(0, 1 << 15, 600))
+                  if is_connected(g)]
+        monkeypatch.setattr(sys, "stdin", io.StringIO(
+            "".join(write_graph6(g) + "\n" for g in graphs)))
+        code, out, _ = run_cli(capsys, "--format", "json", "spectrum", "-")
+        reports = [json.loads(line) for line in out.splitlines()]
+        assert code == 0 and len(reports) == len(graphs) > 300
+        for report in reports:
+            values = report["eigenvalues"] + report["fiedler"]
+            assert not any(v == 0.0 and np.signbit(v) for v in values), report
+        code, out, _ = run_cli(capsys, "--format", "json", "spectrum", "Ch")
+        assert json.loads(out)["eigenvalues"][-1] == 0.0 and "-0.0" not in out
 
     def test_parse_error_exit_two(self, capsys):
         code, _, err = run_cli(capsys, "spectrum", "B\x1e")

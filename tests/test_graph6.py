@@ -8,6 +8,7 @@ from algconn.graph6 import (
     HEADER,
     _parse_code,
     parse_graph6,
+    read_code_blocks,
     read_codes,
     read_corpus,
     write_graph6,
@@ -137,7 +138,7 @@ class TestErrors:
             assert (exc.value.reason, exc.value.offset) == (message, offset)
 
     @pytest.mark.parametrize("record, message, offset", MALFORMED, ids=MALFORMED_IDS)
-    def test_both_readers_raise_the_same_error(self, record, message, offset):
+    def test_both_readers_raise_the_same_error(self, record, message, offset, tmp_path):
         # The str and bytes forms of a record raise one reason at one offset.
         as_bytes = record if isinstance(record, bytes) else record.encode("utf-8", "surrogatepass")
         for line in {record, as_bytes}:
@@ -154,6 +155,19 @@ class TestErrors:
                 list(reader(lines))
             assert (exc.value.reason, exc.value.line, exc.value.offset) == (message, 2, offset)
             assert str(exc.value) == f"{message} (line 2, byte {offset})"
+        # Read from a file, through the block decoder: on line 2, and after a
+        # run of good records that spans more than one block.
+        good = [line.encode() + b"\n" for line in _seeded_order8_lines(size=12_000)]
+        for lines, lineno in (([b"Bw\n"], 2), (good, 12_001)):
+            corpus = tmp_path / f"bad{lineno}.g6"
+            corpus.write_bytes(b"".join(lines) + as_bytes + b"\n" + good[0])
+            readers = (read_corpus, read_codes, read_code_blocks) if lineno == 2 else (
+                read_codes, read_code_blocks)
+            for reader in readers:
+                with pytest.raises(Graph6Error) as exc:
+                    list(reader(corpus))
+                assert (exc.value.reason, exc.value.line, exc.value.offset) == (
+                    message, lineno, offset)
 
     def test_non_ascii_byte_is_one_error_everywhere(self, tmp_path):
         corpus = tmp_path / "latin1.g6"
@@ -253,6 +267,14 @@ class TestCodeReader:
         assert _parse_code("A`", strict=False) == (2, 1)
         assert list(read_codes(["A`"], strict=False)) == [(2, 1)]
 
+    def test_lenient_mode_masks_padding_in_a_file(self, tmp_path):
+        # A record with nonzero padding leaves the block route for _parse_code.
+        corpus = tmp_path / "padded.g6"
+        corpus.write_bytes(b"A_\nA`\nA_\nBw\n")
+        assert list(read_codes(corpus, strict=False)) == [(2, 1)] * 3 + [(3, 7)]
+        with pytest.raises(Graph6Error, match=r"^nonzero padding bits \(line 2, byte 1\)$"):
+            list(read_codes(corpus))
+
     def test_long_records_match_the_writer(self):
         rng = np.random.default_rng(21)
         for n in (12, 28, 29, 63, 100, 300):
@@ -279,3 +301,89 @@ def test_networkx_oracle_agrees_on_bit_order():
         assert write_graph6(decode(n, code)) == expected
         g = parse_graph6(expected)
         assert set(g.edges()) == {tuple(sorted(e)) for e in h.edges()}
+
+
+class TestBlockDecoder:
+    """A corpus file is decoded a block at a time; _parse_code is the reference."""
+
+    @staticmethod
+    def _file_codes(tmp_path, lines, strict=True):
+        corpus = tmp_path / "corpus.g6"
+        corpus.write_bytes(b"".join(line.encode() + b"\n" for line in lines))
+        return list(read_codes(corpus, strict=strict))
+
+    def test_every_record_up_to_order_six(self, tmp_path):
+        lines = [write_graph6(decode(n, code))
+                 for n in range(1, 7) for code in range(1 << (n * (n - 1) // 2))]
+        assert self._file_codes(tmp_path, lines) == [_parse_code(line) for line in lines]
+
+    def test_seeded_order8_corpus_decodes_to_a_few_arrays(self, tmp_path):
+        lines = _seeded_order8_lines(size=20_000)
+        corpus = tmp_path / "order8.g6"
+        corpus.write_text("\n".join(lines))  # no newline after the last record
+        items = list(read_code_blocks(corpus))
+        assert all(order == 8 and isinstance(codes, np.ndarray) for order, codes in items)
+        # One array per 64 KiB block read, and one for the unterminated last line.
+        assert len(items) <= -(-len(corpus.read_bytes()) // (1 << 16)) + 1
+        assert [(8, code) for _, codes in items for code in codes.tolist()] == [
+            _parse_code(line) for line in lines]
+
+    def test_runs_split_where_the_order_changes(self, tmp_path):
+        lines = ["Bw", "Bg", "C~", "Bw", "@", "@", ">>graph6<<Bw", "Bw"]
+        corpus = tmp_path / "runs.g6"
+        corpus.write_text("\n".join(lines) + "\n")
+        items = [(order, codes.tolist() if isinstance(codes, np.ndarray) else codes)
+                 for order, codes in read_code_blocks(corpus)]
+        assert items == [(3, [7, 5]), (4, [63]), (3, [7]), (1, [0, 0]), (3, 7), (3, [7])]
+
+    def test_mixed_headers_blank_lines_and_whitespace(self, tmp_path):
+        lines = _seeded_order8_lines(seed=9, size=50) + ["Bw", "@", write_graph6(empty(63))]
+        text = (HEADER + "\r\n" + "\r\n".join(lines[:10]) + "\r\n\r\n  \r\n"
+                + "\n".join(HEADER + line for line in lines[10:20]) + "\n\n"
+                + "\n".join(lines[20:30]) + "\n \t" + lines[30] + "  \n"
+                + "\n".join(lines[31:]) + "\n")
+        corpus = tmp_path / "mixed.g6"
+        corpus.write_bytes(text.encode())
+        assert list(read_codes(corpus)) == [_parse_code(line) for line in lines]
+
+    def test_order_eleven_top_code_bits(self, tmp_path):
+        # Bits 50..54 sit in the tenth body byte, shifted by 54: an int64
+        # shift keeps them under NumPy 1.x promotion rules as well.
+        codes = [0b11111 << 50, (1 << 55) - 1, 1 << 54, 1 << 50]
+        lines = [write_graph6(decode(11, code)) for code in codes]
+        got = self._file_codes(tmp_path, lines)
+        assert got == [_parse_code(line) for line in lines] == [(11, code) for code in codes]
+        blocks = list(read_code_blocks(tmp_path / "corpus.g6"))
+        assert len(blocks) == 1 and blocks[0][1].dtype == np.int64
+
+    def test_random_records_of_every_order_up_to_twelve(self, tmp_path):
+        rng = np.random.default_rng(31)
+        lines = []
+        for n in rng.integers(1, 13, size=3000).tolist():
+            nbits = n * (n - 1) // 2
+            lines.append(write_graph6(decode(n, int(rng.integers(0, 1 << min(nbits, 62)))
+                                             % (1 << nbits))))
+        assert self._file_codes(tmp_path, lines) == [_parse_code(line) for line in lines]
+
+
+@pytest.mark.parametrize("order_line, bad_line", [
+    (3, 5), (5, 3),  # in one block
+    (3, 10_005), (10_005, 3),  # 10,000 good records apart
+])
+def test_the_first_failing_line_wins(tmp_path, order_line, bad_line):
+    # A wrong-order record (order 7) and a malformed one (bad byte) in one
+    # corpus: the scan reports whichever comes first in the file.
+    from algconn.scan import verify_max_theorem
+
+    lines = [line.encode() for line in _seeded_order8_lines(size=10_010)]
+    lines[order_line - 1] = write_graph6(empty(7)).encode()
+    lines[bad_line - 1] = b"G\x1e????"
+    corpus = tmp_path / "mixed.g6"
+    corpus.write_bytes(b"\n".join(lines) + b"\n")
+    if order_line < bad_line:
+        expected = pytest.raises(ValueError, match="^corpus graph of order 7, expected 8$")
+    else:
+        expected = pytest.raises(
+            Graph6Error, match=rf"^byte 30 outside 63..126 \(line {bad_line}, byte 1\)$")
+    with expected:
+        verify_max_theorem(8, 3, corpus=read_code_blocks(corpus))

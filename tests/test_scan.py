@@ -11,6 +11,7 @@ import pytest
 from algconn.graph6 import parse_graph6
 from algconn.graphs import (
     Graph,
+    adjacency,
     canonical_code,
     canonical_codes,
     complement,
@@ -37,7 +38,13 @@ from algconn.scan import (
     verify_min_theorem,
     verify_supersaturation,
 )
-from algconn.spectra import BOUND_TOL, EQUALITY_TOL, STRICT_TOL, algebraic_connectivity
+from algconn.spectra import (
+    BOUND_TOL,
+    EQUALITY_TOL,
+    STRICT_TOL,
+    algebraic_connectivity,
+    laplacians,
+)
 
 class TestEnumeration:
     def test_order_three(self):
@@ -76,11 +83,15 @@ class TestGraphTable:
     def test_jobs_do_not_change_results(self):
         from algconn import scan
 
-        serial = scan._chunk_tables(4, np.arange(64, dtype=np.int64))
+        # The two kernels run serially over every code, against the pooled table.
+        codes = np.arange(64, dtype=np.int64)
+        omega, connected = scan._clique_kernel(4, codes)
+        alpha = scan._alpha_kernel(4, codes)
         table = build_graph_table(4)
-        assert np.array_equal(serial[0], table.omega)
-        assert np.array_equal(serial[1], table.alpha)
-        assert np.array_equal(serial[2], table.connected)
+        assert np.array_equal(omega, table.omega)
+        assert np.array_equal(connected, table.connected)
+        assert np.array_equal(alpha[connected], table.alpha[connected])
+        assert not table.alpha[~connected].any()
 
     def test_chunked_parallel_merge_is_deterministic(self, monkeypatch):
         # Within a route, jobs and chunk size leave every array unchanged.
@@ -117,6 +128,70 @@ class TestGraphTable:
         assert np.array_equal(enumerated.omega, from_corpus.omega)
         assert np.array_equal(enumerated.connected, from_corpus.connected)
         assert np.array_equal(enumerated.alpha, from_corpus.alpha)
+
+    @staticmethod
+    def _assert_kept_rows(full, kept, keep):
+        rows = np.flatnonzero(keep(full.omega, full.connected))
+        assert kept.size == len(rows)
+        assert kept.codes.tobytes() == full.codes[rows].tobytes()
+        assert kept.omega.tobytes() == full.omega[rows].tobytes()
+        assert kept.alpha.tobytes() == full.alpha[rows].tobytes()
+        assert kept.connected.tobytes() == full.connected[rows].tobytes()
+        if full.weights is None:
+            assert kept.weights is None
+        else:
+            assert kept.weights.tobytes() == full.weights[rows].tobytes()
+
+    @staticmethod
+    def _keeps(n):
+        # What verify_max_theorem and verify_min_theorem keep, for every r.
+        for r in range(2, n + 1):
+            yield lambda omega, connected, r=r: omega <= r
+            yield lambda omega, connected, r=r: (omega == r) & connected
+
+    @pytest.mark.parametrize("n", range(3, 12))
+    def test_kept_table_is_the_full_tables_rows_on_random_corpora(self, n):
+        rng = np.random.default_rng(100 + n)
+        codes = rng.integers(0, 1 << (n * (n - 1) // 2), 400, dtype=np.int64)
+        full = scan_mod._table(n, codes, jobs=2)
+        for keep in self._keeps(n):
+            self._assert_kept_rows(full, scan_mod._table(n, codes, jobs=2, keep=keep), keep)
+
+    @pytest.mark.parametrize("n", range(3, 9))
+    def test_kept_class_table_is_the_full_tables_rows(self, n):
+        full = scan_mod._table(n, *scan_mod._classes(n))
+        for keep in self._keeps(n):
+            self._assert_kept_rows(full, scan_mod._table(n, *scan_mod._classes(n), keep=keep),
+                                   keep)
+
+    @pytest.mark.parametrize("mode", ["max", "min"])
+    def test_only_kept_connected_rows_are_eigensolved(self, monkeypatch, mode):
+        # A labeled order-6 corpus: the batched eigensolves see exactly the
+        # eligible connected codes, in order, then every achiever labeling.
+        n, r = 6, 3
+        solved = []
+        real = np.linalg.eigvalsh
+
+        def spy(m):
+            if m.ndim == 3:  # the per-graph bound is one (n, n) matrix
+                solved.append(m.copy())
+            return real(m)
+
+        labeled = build_graph_table(n)
+        if mode == "max":
+            eligible = labeled.omega <= r
+            target, verify = turan(n, r), verify_max_theorem
+        else:
+            eligible = (labeled.omega == r) & labeled.connected
+            target, verify = kite(n, r), verify_min_theorem
+        monkeypatch.setattr(np.linalg, "eigvalsh", spy)
+        cert = verify(n, r, jobs=1, corpus=[(n, code) for code in range(labeled.size)])
+        assert cert.ok
+        table_codes = labeled.codes[eligible & labeled.connected]
+        achievers = scan_mod._labelings(n, encode(target))
+        assert len(table_codes) < labeled.size
+        expected = np.concatenate([table_codes, achievers])
+        assert np.concatenate(solved).tobytes() == laplacians(adjacency(n, expected)).tobytes()
 
     def test_jobs_sizes_every_pool_of_a_scan(self, monkeypatch):
         # The class table and the achiever re-solve, both split by small chunks.
@@ -424,8 +499,8 @@ class TestMinTheorem:
         # Every eligible order-6 class is beyond the bound: the certificate
         # lists the labeled oracle's first 20, without expanding whole classes.
         n, r = 6, 3
-        table = scan_mod._table(n, *scan_mod._classes(n))
-        eligible = (table.omega == r) & table.connected
+        table = scan_mod._table(n, *scan_mod._classes(n),
+                                keep=lambda omega, connected: (omega == r) & connected)
         expanded = []
         real = scan_mod.GraphTable.labeled
 
@@ -439,7 +514,7 @@ class TestMinTheorem:
         target = kite(n, r)
         cert = scan_mod._extremal_scan(
             table, r, "min", bound=scan_mod.algebraic_connectivity(target),
-            eligible=eligible, beyond=eligible, reason="bound-undershot", target=target,
+            beyond=np.ones(table.size, bool), reason="bound-undershot", target=target,
             achieves=lambda g: is_isomorphic(g, target), source="enumeration", jobs=1,
         )
         labeled = build_graph_table(n)
@@ -448,9 +523,8 @@ class TestMinTheorem:
             write_graph6(decode(n, int(code))) for code in oracle]
         # The listing call covers every eligible row and takes at most 20
         # labelings from each, far fewer than those rows' labelings in all.
-        rows = int(eligible.sum())
-        assert [most for count, most in expanded if count == rows] == [20]
-        assert 20 * rows < int(table.weights[eligible].sum())
+        assert [most for count, most in expanded if count == table.size] == [20]
+        assert 20 * table.size < int(table.weights.sum())
 
 
 class TestSeededDefects:
@@ -466,12 +540,19 @@ class TestSeededDefects:
             assert "bound-undershot" in {c["reason"] for c in cert.counterexamples}
         assert cli.main(["scan", "min", "5", "3"]) == 1
 
-    def test_wrong_turan_target_fails_the_characterization(self, monkeypatch):
+    def test_wrong_turan_target_fails_the_characterization(self, monkeypatch, tmp_path):
+        from algconn.graph6 import write_graph6
+
         monkeypatch.setattr(scan_mod, "turan", lambda n, r: complete_multipartite(3, 2, 1))
-        cert = verify_max_theorem(6, 3)
-        assert not cert.ok and not cert.characterization_ok
-        assert "characterization-failed" in {c["reason"] for c in cert.counterexamples}
+        everything = [(6, code) for code in range(1 << 15)]
+        for cert in (verify_max_theorem(6, 3), verify_max_theorem(6, 3, corpus=everything)):
+            assert not cert.ok and not cert.characterization_ok
+            assert "characterization-failed" in {c["reason"] for c in cert.counterexamples}
         assert cli.main(["scan", "max", "6", "3"]) == 1
+        # The CLI's corpus route: a graph6 file, decoded a block at a time.
+        corpus = tmp_path / "order6.g6"
+        corpus.write_text("".join(write_graph6(decode(6, code)) + "\n" for _, code in everything))
+        assert cli.main(["scan", "max", "6", "3", "--corpus", str(corpus)]) == 1
 
     @pytest.mark.parametrize("mode, reason", [("max", "bound-exceeded"), ("min", "bound-undershot")])
     def test_bound_shifted_against_the_scan(self, monkeypatch, mode, reason):

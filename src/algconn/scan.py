@@ -154,8 +154,6 @@ def _clique_kernel(n: int, codes: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
 
 def _alpha_kernel(n: int, codes: np.ndarray) -> np.ndarray:
     """Second-smallest Laplacian eigenvalue of each code, from one eigensolve of spectra.laplacians."""
-    if n < 2:
-        return np.zeros(len(codes))
     return np.linalg.eigvalsh(laplacians(adjacency(n, codes)))[:, 1]
 
 

@@ -307,15 +307,16 @@ class TestBlockDecoder:
     """A corpus file is decoded a block at a time; _parse_code is the reference."""
 
     @staticmethod
-    def _file_codes(tmp_path, lines, strict=True):
+    def _write(tmp_path, lines):
         corpus = tmp_path / "corpus.g6"
-        corpus.write_bytes(b"".join(line.encode() + b"\n" for line in lines))
-        return list(read_codes(corpus, strict=strict))
+        corpus.write_text("".join(line + "\n" for line in lines))
+        return corpus
 
     def test_every_record_up_to_order_six(self, tmp_path):
         lines = [write_graph6(decode(n, code))
                  for n in range(1, 7) for code in range(1 << (n * (n - 1) // 2))]
-        assert self._file_codes(tmp_path, lines) == [_parse_code(line) for line in lines]
+        corpus = self._write(tmp_path, lines)
+        assert list(read_codes(corpus)) == [_parse_code(line) for line in lines]
 
     def test_seeded_order8_corpus_decodes_to_a_few_arrays(self, tmp_path):
         lines = _seeded_order8_lines(size=20_000)
@@ -347,14 +348,16 @@ class TestBlockDecoder:
         assert list(read_codes(corpus)) == [_parse_code(line) for line in lines]
 
     def test_order_eleven_top_code_bits(self, tmp_path):
-        # Bits 50..54 sit in the tenth body byte, shifted by 54: an int64
-        # shift keeps them under NumPy 1.x promotion rules as well.
+        # Bits 48..53 sit in the ninth body byte, shifted by 48, and bit 54 in
+        # the tenth, shifted by 54: int64 shifts keep them under NumPy 1.x
+        # promotion rules as well.
         codes = [0b11111 << 50, (1 << 55) - 1, 1 << 54, 1 << 50]
         lines = [write_graph6(decode(11, code)) for code in codes]
-        got = self._file_codes(tmp_path, lines)
-        assert got == [_parse_code(line) for line in lines] == [(11, code) for code in codes]
-        blocks = list(read_code_blocks(tmp_path / "corpus.g6"))
-        assert len(blocks) == 1 and blocks[0][1].dtype == np.int64
+        corpus = self._write(tmp_path, lines)
+        assert list(read_codes(corpus)) == [_parse_code(line) for line in lines] == [
+            (11, code) for code in codes]
+        [(order, block)] = read_code_blocks(corpus)
+        assert order == 11 and block.dtype == np.int64
 
     def test_random_records_of_every_order_up_to_twelve(self, tmp_path):
         rng = np.random.default_rng(31)
@@ -363,7 +366,8 @@ class TestBlockDecoder:
             nbits = n * (n - 1) // 2
             lines.append(write_graph6(decode(n, int(rng.integers(0, 1 << min(nbits, 62)))
                                              % (1 << nbits))))
-        assert self._file_codes(tmp_path, lines) == [_parse_code(line) for line in lines]
+        corpus = self._write(tmp_path, lines)
+        assert list(read_codes(corpus)) == [_parse_code(line) for line in lines]
 
 
 @pytest.mark.parametrize("order_line, bad_line", [

@@ -243,7 +243,7 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument(
         "--jobs", default=None, type=_checked(int, lambda v: v >= 1, "jobs must be >= 1"),
         help="worker threads for the table kernel of scan max|min, enumerated or "
-        "corpus (default: machine parallelism); scan supersat does not read it",
+        "corpus (default: one per CPU the process may run on); scan supersat does not read it",
     )
     parser.add_argument("--format", choices=("json", "csv", "table"), default="table")
     parser.add_argument("--lenient-g6", dest="strict_g6", action="store_false",

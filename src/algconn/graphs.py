@@ -3,8 +3,10 @@
 A graph on n vertices is stored as n integer bitmasks, one adjacency row per
 vertex.  That keeps edge tests O(1) and lets the clique and connectivity code
 work on whole neighborhoods with single AND/OR operations.  Everything here is
-immutable: operations return new Graph values.  The families are built from
-complement, disjoint union and pendant paths.
+immutable: operations return new Graph values.  The named families are built
+from the graph algebra: complete multipartite graphs as complements of
+disjoint cliques, and the kite, tailed clique and theta-kite as a clique
+carrying pendant paths, each path a disjoint union joined on by one edge.
 """
 
 from __future__ import annotations
@@ -253,14 +255,7 @@ def attach_path(g: Graph, v: int, k: int) -> Graph:
         raise ValueError(f"vertex {v} out of range for order {g.n}")
     if k < 0:
         raise ValueError(f"path length must be >= 0, got {k}")
-    n = g.n + k
-    rows = [row for row in g.rows] + [0] * k
-    prev = v
-    for w in range(g.n, n):
-        rows[prev] |= 1 << w
-        rows[w] |= 1 << prev
-        prev = w
-    return Graph(n, tuple(rows))
+    return add_edge(disjoint_union(g, path(k)), v, g.n) if k else g
 
 
 def add_edge(g: Graph, u: int, v: int) -> Graph:

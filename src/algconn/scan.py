@@ -29,12 +29,12 @@ an independent labeled route to check the class route against; it solves
 each code directly, through the same _table call as a corpus scan.
 
 Scans emit certificates: the theoretical bound, the scanned extremum
-(re-solved directly over every labeling of the achievers), the achievers
-up to isomorphism (each class as its first labeling in scan order), the
-characterization verdict, and any counterexamples (there must be none).
-Labeled counts and listed graphs are the same as a scan over every
-labeled graph in code order would give.  Certificates are deterministic:
-identical inputs give byte-identical JSON.
+(over every labeling of the achievers; only a class table re-solves them),
+the achievers up to isomorphism (each class as its first labeling in scan
+order), the characterization verdict, and any counterexamples (there must
+be none).  Labeled counts and listed graphs are the same as a scan over
+every labeled graph in code order would give.  Certificates are
+deterministic: identical inputs give byte-identical JSON.
 """
 
 from __future__ import annotations
@@ -117,10 +117,6 @@ class GraphTable:
     def size(self) -> int:
         return len(self.omega)
 
-    def graph(self, row: int) -> Graph:
-        """The graph in one row of the table."""
-        return decode(self.n, int(self.codes[row]))
-
     def labeled(self, rows: np.ndarray, first: int | None = None) -> np.ndarray:
         """Codes of the labeled graphs in these rows, in scan order.
 
@@ -166,9 +162,9 @@ def _table(n: int, codes: np.ndarray, weights: np.ndarray | None = None,
     row), then picks the rows the table holds, and a second pass eigensolves
     only the kept connected rows: alpha is exactly 0.0 on the others.  Each
     pass splits its rows into contiguous chunks mapped on one thread pool of
-    at most `jobs` threads (None: one per core; the eigenvalue kernel
-    releases the GIL), each writing its rows in place, so the table is
-    identical regardless of jobs.
+    at most `jobs` threads (None: one per CPU the process may run on; the
+    eigenvalue kernel releases the GIL), each writing its rows in place, so
+    the table is identical regardless of jobs.
     """
     m = len(codes)
     omega, connected = np.empty(m, np.uint8), np.empty(m, bool)
@@ -179,7 +175,8 @@ def _table(n: int, codes: np.ndarray, weights: np.ndarray | None = None,
 
     starts = range(0, m, _CHUNK)
     if jobs is None:
-        jobs = os.cpu_count() or 1
+        jobs = (len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity")
+                else os.cpu_count() or 1)
     with ThreadPoolExecutor(max_workers=max(min(jobs, len(starts)), 1)) as pool:
         list(pool.map(classify, starts))
         if keep is not None:
@@ -373,16 +370,20 @@ def _extremal_scan(
     Every row of the table is one the statement covers; `beyond` masks the
     rows whose alpha breaks the bound (reported as `reason`).  The extremum
     of alpha must equal the bound, attained by `target`; every equality
-    achiever, up to isomorphism, must pass `achieves`.  Every labeling of
-    the achievers (rows within EQUALITY_TOL of the extremum) is solved again
-    on `jobs` threads for `achieved`, so it does not depend on which
-    labeling of its class a row holds.
+    achiever, up to isomorphism, must pass `achieves`.  `achieved` is the
+    extremum over every labeling of the achievers (rows within EQUALITY_TOL
+    of the extremum): a labeled table's rows are those labelings, and a
+    class table solves them again on `jobs` threads, so `achieved` does not
+    depend on which labeling of its class a row holds.
     """
     if not table.size:
         raise ValueError("corpus contained no eligible graphs")
     extremum = table.alpha.max() if mode == "max" else table.alpha.min()
     hits = np.nonzero(np.abs(table.alpha - extremum) <= EQUALITY_TOL)[0]
-    exact = _table(table.n, table.labeled(hits), jobs=jobs).alpha
+    if table.weights is None:
+        exact = table.alpha[hits]
+    else:
+        exact = _table(table.n, table.labeled(hits), jobs=jobs).alpha
     achieved = float(exact.max() if mode == "max" else exact.min())
     counterexamples = [
         _counterexample(decode(table.n, int(code)), reason)
@@ -594,7 +595,7 @@ def verify_supersaturation(
     hit = np.nonzero(table.alpha >= threshold - STRICT_TOL)[0]
     failing = np.array([
         row for row in hit
-        if n < k * r or not contains_complete_multipartite(table.graph(row), parts)
+        if n < k * r or not contains_complete_multipartite(decode(n, int(table.codes[row])), parts)
     ], dtype=np.int64)
     qualifying = int(weights[hit].sum())
     listed = int(weights[failing].sum())

@@ -29,9 +29,12 @@ MALFORMED = [
     # A str record is read as its UTF-8 bytes, lone surrogates included.
     ("B\xe9", "non-ASCII byte", 1),
     ("B\udce9", "non-ASCII byte", 1),
+    ("~??", "truncated order prefix", 3),
+    ("~??}" + "?" * 316, "order 62 must use the 1-byte prefix", 0),  # else a valid order 62
 ]
 MALFORMED_IDS = ["range", "padding", "truncated", "trailing", "eight-byte", "order-zero",
-                 "long-padding", "long-trailing", "non-ascii", "non-ascii-str", "surrogate"]
+                 "long-padding", "long-trailing", "non-ascii", "non-ascii-str", "surrogate",
+                 "short-prefix", "small-order-long-prefix"]
 
 
 def _seeded_order8_lines(seed=8, size=500):

@@ -222,6 +222,7 @@ class TestCodes:
         for n in range(1, 12):
             nbits = n * (n - 1) // 2
             assert [pair_index(i, j) for i, j in pairs(n)] == list(range(nbits))
+            assert [pair_index(j, i) for i, j in pairs(n)] == list(range(nbits))
             for b, (i, j) in enumerate(pairs(n)):
                 g = decode(n, 1 << b)
                 assert list(g.edges()) == [(i, j)]

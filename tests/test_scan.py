@@ -164,11 +164,9 @@ class TestGraphTable:
             self._assert_kept_rows(full, scan_mod._table(n, *scan_mod._classes(n), keep=keep),
                                    keep)
 
-    @pytest.mark.parametrize("mode", ["max", "min"])
-    def test_only_kept_connected_rows_are_eigensolved(self, monkeypatch, mode):
-        # A labeled order-6 corpus: the batched eigensolves see exactly the
-        # eligible connected codes, in order, then every achiever labeling.
-        n, r = 6, 3
+    @staticmethod
+    def _eigensolved(monkeypatch, mode, n, r, corpus=None):
+        """The Laplacians a scan eigensolves in batches, in order, and its table's keep."""
         solved = []
         real = np.linalg.eigvalsh
 
@@ -177,35 +175,75 @@ class TestGraphTable:
                 solved.append(m.copy())
             return real(m)
 
-        labeled = build_graph_table(n)
         if mode == "max":
-            eligible = labeled.omega <= r
-            target, verify = turan(n, r), verify_max_theorem
+            keep, verify = (lambda omega, connected: omega <= r), verify_max_theorem
         else:
-            eligible = (labeled.omega == r) & labeled.connected
-            target, verify = kite(n, r), verify_min_theorem
+            keep, verify = (lambda omega, connected: (omega == r) & connected), verify_min_theorem
         monkeypatch.setattr(np.linalg, "eigvalsh", spy)
-        cert = verify(n, r, jobs=1, corpus=[(n, code) for code in range(labeled.size)])
-        assert cert.ok
-        table_codes = labeled.codes[eligible & labeled.connected]
-        achievers = scan_mod._labelings(n, encode(target))
+        assert verify(n, r, jobs=1, corpus=corpus).ok
+        return np.concatenate(solved), keep
+
+    @pytest.mark.parametrize("mode", ["max", "min"])
+    def test_only_kept_connected_rows_are_eigensolved(self, monkeypatch, mode):
+        # A labeled order-6 corpus: the batched eigensolves see exactly the
+        # eligible connected codes, in order, and nothing after them, since
+        # the achievers' alphas are read from the table's own rows.
+        n, r = 6, 3
+        labeled = build_graph_table(n)
+        solved, keep = self._eigensolved(monkeypatch, mode, n, r,
+                                         corpus=[(n, code) for code in range(labeled.size)])
+        table_codes = labeled.codes[keep(labeled.omega, labeled.connected) & labeled.connected]
         assert len(table_codes) < labeled.size
-        expected = np.concatenate([table_codes, achievers])
-        assert np.concatenate(solved).tobytes() == laplacians(adjacency(n, expected)).tobytes()
+        assert solved.tobytes() == laplacians(adjacency(n, table_codes)).tobytes()
+
+    @pytest.mark.parametrize("mode", ["max", "min"])
+    def test_class_rows_then_achiever_labelings_are_eigensolved(self, monkeypatch, mode):
+        # The class route: the eligible connected class rows, in order, then
+        # every labeling of the achiever class, since each row stands for many.
+        n, r = 6, 3
+        solved, keep = self._eigensolved(monkeypatch, mode, n, r)
+        codes, _ = scan_mod._classes(n)
+        omega, connected = scan_mod._clique_kernel(n, codes)
+        class_codes = codes[keep(omega, connected) & connected]
+        target = turan(n, r) if mode == "max" else kite(n, r)
+        achievers = scan_mod._labelings(n, encode(target))
+        assert len(class_codes) < len(codes)
+        expected = np.concatenate([class_codes, achievers])
+        assert solved.tobytes() == laplacians(adjacency(n, expected)).tobytes()
+
+    @staticmethod
+    def _pool_sizes(monkeypatch):
+        """The max_workers of every thread pool the scan module creates, chunks cut to 10 codes."""
+        sizes = []
+        real = scan_mod.ThreadPoolExecutor
+        monkeypatch.setattr(scan_mod, "_CHUNK", 10)
+        monkeypatch.setattr(scan_mod, "ThreadPoolExecutor",
+                            lambda max_workers: sizes.append(max_workers) or real(max_workers))
+        return sizes
 
     def test_jobs_sizes_every_pool_of_a_scan(self, monkeypatch):
-        # The class table and the achiever re-solve, both split by small chunks.
-        from algconn import scan
-
-        sizes = []
-        real = scan.ThreadPoolExecutor
-        monkeypatch.setattr(scan, "_CHUNK", 10)
-        monkeypatch.setattr(scan, "ThreadPoolExecutor",
-                            lambda max_workers: sizes.append(max_workers) or real(max_workers))
+        # The class table and the achiever re-solve, both split by small
+        # chunks; a corpus scan builds its one table on one pool.
+        sizes = self._pool_sizes(monkeypatch)
+        corpus = [(5, code) for code in range(1 << 10)]
         for jobs in (1, 3):
             sizes.clear()
             assert verify_min_theorem(6, 3, jobs=jobs).ok
             assert sizes == [jobs, jobs]
+            sizes.clear()
+            assert verify_min_theorem(5, 3, jobs=jobs, corpus=corpus).ok
+            assert sizes == [jobs]
+
+    def test_default_jobs_is_the_cpus_the_process_may_run_on(self, monkeypatch):
+        # Where the platform has no affinity call, the machine's CPU count.
+        sizes = self._pool_sizes(monkeypatch)
+        codes = np.arange(1 << 10, dtype=np.int64)
+        monkeypatch.setattr(scan_mod.os, "cpu_count", lambda: 8)
+        monkeypatch.setattr(scan_mod.os, "sched_getaffinity", lambda pid: {0, 1, 2}, raising=False)
+        scan_mod._table(5, codes)
+        monkeypatch.delattr(scan_mod.os, "sched_getaffinity")
+        scan_mod._table(5, codes)
+        assert sizes == [3, 8]
 
 
 class TestClassTable:
@@ -644,7 +682,7 @@ class TestJoinCharacterization:
             if margin is not None:
                 rows &= table.alpha >= n - -(n // -r) - margin - STRICT_TOL
             for row in np.nonzero(rows)[0]:
-                g = table.graph(row)
+                g = decode(n, int(table.codes[row]))
                 expected = _join_form_brute(g, n, r)
                 assert check_join_characterization(g, r) == expected, (n, r, row)
                 checked += 1
@@ -787,6 +825,8 @@ class TestSupersaturation:
     def test_guard_refusal(self):
         with pytest.raises(ValueError):
             verify_supersaturation(8, 2, 2, 0.05)
+        with pytest.raises(ValueError, match=r"^order 10 beyond the exhaustive range \(max 9\)$"):
+            verify_supersaturation(10, 2, 2, 0.05, guard=10)
 
     def test_containment_guard(self):
         with pytest.raises(ValueError):

@@ -246,6 +246,46 @@ class TestGraphTable:
         assert sizes == [3, 8]
 
 
+def _kernel_codes(n: int) -> np.ndarray:
+    """Seeded order-n codes with each code's edge density drawn from [0, 1], as a
+    corpus's are, plus K_n, the empty graph, path(n) and the path 0, n-1, ..., 1:
+    a sweep in vertex order from vertex 0 reaches one more vertex of it per pass."""
+    rng = np.random.default_rng(100 + n)
+    bits = n * (n - 1) // 2
+    density = rng.random((300, 1))
+    edges = rng.random((300, bits)) < density
+    codes = (edges << np.arange(bits, dtype=np.int64)).sum(axis=1, dtype=np.int64)
+    worst = [0, *range(n - 1, 0, -1)]
+    special = [(1 << bits) - 1, 0, encode(path(n)),
+               encode(Graph.from_edges(n, zip(worst, worst[1:])))]
+    return np.concatenate([codes, np.array(special, np.int64)])
+
+
+class TestCliqueKernel:
+    @pytest.mark.parametrize("n", range(1, 12))
+    def test_matches_max_clique_and_is_connected(self, n):
+        from algconn.cliques import max_clique
+
+        codes = _kernel_codes(n)
+        omega, connected = scan_mod._clique_kernel(n, codes)
+        assert omega.dtype == np.uint8 and connected.dtype == bool
+        graphs = [decode(n, int(code)) for code in codes]
+        assert omega.tolist() == [max_clique(g).omega for g in graphs]
+        assert connected.tolist() == [is_connected(g) for g in graphs]
+        assert omega[-4] == n and omega[-3] == 1
+        assert connected[-4] and connected[-2] and connected[-1]
+        assert connected[-3] == (n == 1)
+
+    def test_ragged_chunks_leave_both_arrays_unchanged(self, monkeypatch):
+        codes = _kernel_codes(9)
+        whole = scan_mod._table(9, codes, jobs=1)
+        monkeypatch.setattr(scan_mod, "_CHUNK", 7)  # 304 codes: 43 chunks, the last of 3
+        for jobs in (1, 3):
+            ragged = scan_mod._table(9, codes, jobs=jobs)
+            assert ragged.omega.tobytes() == whole.omega.tobytes()
+            assert ragged.connected.tobytes() == whole.connected.tobytes()
+
+
 class TestClassTable:
     def test_class_counts_and_weights(self):
         # Classes: OEIS A000088.  Connected labeled graphs: OEIS A001187.

@@ -158,7 +158,7 @@ def _block_codes(block: bytes, lineno: int, strict: bool):
     order = _ORDERS[buf[starts]]
     order[ends - starts != _WIDTHS[order]] = 0
     codes = np.zeros(len(order), np.int64)
-    for n in np.unique(order[order > 0]).tolist():
+    for n in (np.flatnonzero(np.bincount(order)[1:]) + 1).tolist():  # np.unique loads numpy.ma
         rows = np.flatnonzero(order == n)
         code, plain = np.zeros(len(rows), np.int64), np.ones(len(rows), bool)
         for k in range(1, _WIDTHS[n]):

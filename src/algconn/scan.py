@@ -6,10 +6,13 @@ Every table is built by _table over a code array, in two chunked numpy
 passes on one thread pool: a clique-and-connectivity kernel computes every
 code's clique number and connectivity, the rows the caller keeps are picked
 from those two columns, and an alpha kernel eigensolves only the kept
-connected rows.  The extremal scans keep only the graphs their theorem
-covers (omega <= r on the max side, omega == r and connected on the min
-side), so every row of their GraphTable is eligible and no other graph is
-eigensolved.
+connected rows.  The clique number splits the vertices in two halves: one
+cached table holds the clique number of every graph on the first n // 2
+vertices within every vertex mask, and each of the 2^(n - n//2) vertex
+subsets of the other half that is a clique adds its size to one lookup.
+The extremal scans keep only the graphs their theorem covers (omega <= r on
+the max side, omega == r and connected on the min side), so every row of
+their GraphTable is eligible and no other graph is eigensolved.
 
 The max/min scans by enumeration and the supersaturation check run over
 isomorphism classes instead: the omega, alpha and connectivity of a graph do
@@ -130,22 +133,70 @@ class GraphTable:
         return np.sort(np.concatenate([np.zeros(0, np.int64), *parts]))
 
 
-def _clique_kernel(n: int, codes: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """(omega, connected) for each code: clique masks and a reachability sweep, no eigensolve."""
-    m = len(codes)
-    rows = np.einsum("mvu,u->mv", adjacency(n, codes), 1 << np.arange(n))  # v's neighbour bits
-    reach = np.ones(m, dtype=np.int64)
-    for _ in range(n - 1):
-        for v in range(n):
-            reach |= rows[:, v] * (reach >> v & 1)
-    connected = reach == (1 << n) - 1
+@functools.cache
+def _clique_table(a: int) -> np.ndarray:
+    """T[c, M]: clique number of the order-a graph with code c, induced on the vertex mask M.
 
-    omega = np.ones(m, dtype=np.uint8)
-    for size in range(2, n + 1):
-        for subset in combinations(range(n), size):
-            mask = sum(1 << pair_index(a, b) for a, b in combinations(subset, 2))
-            omega[(codes & mask) == mask] = size
-    return omega, connected
+    A uint8 array of shape (2^(a(a-1)/2), 2^a), read-only, as the cache
+    shares it: the precomputed clique numbers of Östergård's maximum-clique
+    algorithm (Discrete Appl. Math. 120, 2002), over every code at once.
+    Each vertex subset scores its size where it is a clique of c, and a
+    subset-max pass over the a mask bits takes the best score within M.
+    """
+    codes = np.arange(1 << (a * (a - 1) // 2), dtype=np.int64)
+    table = np.zeros((len(codes), 1 << a), np.uint8)
+    for subset in range(1, 1 << a):
+        verts = [v for v in range(a) if subset >> v & 1]
+        mask = sum(1 << pair_index(u, v) for u, v in combinations(verts, 2))
+        table[(codes & mask) == mask, subset] = len(verts)
+    masks = np.arange(1 << a)
+    for v in range(a):
+        table = np.maximum(table, table[:, masks & ~(1 << v)])
+    table.flags.writeable = False
+    return table
+
+
+def _clique_kernel(n: int, codes: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """(omega, connected) for each code: a half-order clique table and a reachability sweep.
+
+    Column v of a code (bits v(v-1)/2 on) holds v's lower neighbours.  The
+    vertices split into A = {0..a-1}, a = n // 2, and B = {a..n-1}: G[A]'s
+    code is the low a(a-1)/2 bits, and column v of a B vertex holds its A
+    neighbours in its low a bits, then its lower B neighbours.  The subsets S
+    of B are walked in increasing order: with t = top(S), S is a clique iff
+    S - t is one and t's B neighbours cover S - t, and S's common A
+    neighbourhood is that of S - t within t's A neighbours.  omega is the
+    best |S| + T_a[G[A], common A neighbours of S] over the cliques S of B
+    (_clique_table), 2^(n-a) steps.  Connectivity sweeps the neighbour rows
+    from vertex 0 until a sweep reaches no new vertex.
+    """
+    m, a = len(codes), n // 2
+    low = (1 << a) - 1
+    cols = [codes >> (v * (v - 1) // 2) & ((1 << v) - 1) for v in range(n)]
+
+    lookup = _clique_table(a).ravel()  # T_a[c, M] at c << a | M
+    base = (codes & ((1 << (a * (a - 1) // 2)) - 1)) << a
+    omega = lookup[base | low]
+    a_nbrs = [col & low for col in cols[a:]]
+    b_nbrs = [col >> a for col in cols[a:]]  # bit i: vertex a + i
+    clique, common = [np.ones(m, bool)], [np.full(m, low, np.int64)]
+    for s in range(1, 1 << (n - a)):
+        t = s.bit_length() - 1
+        rest = s ^ (1 << t)
+        clique.append(clique[rest] & ((b_nbrs[t] & rest) == rest))
+        common.append(common[rest] & a_nbrs[t])
+        np.maximum(omega, (lookup[base | common[s]] + s.bit_count()) * clique[s], out=omega)
+
+    rows = np.zeros((n, m), np.int64)  # v's neighbour bits
+    for v, col in enumerate(cols):
+        rows[v] |= col
+        rows[:v] |= (col >> np.arange(v)[:, None] & 1) << v
+    reach, before = np.ones(m, np.int64), None
+    while not np.array_equal(reach, before):
+        before = reach.copy()
+        for v in range(n):
+            reach |= rows[v] * (reach >> v & 1)
+    return omega, reach == (1 << n) - 1
 
 
 def _alpha_kernel(n: int, codes: np.ndarray) -> np.ndarray:

@@ -1,5 +1,8 @@
 """graph6 format tests: hand-derived strings, round trips, error handling."""
 
+import subprocess
+import sys
+
 import numpy as np
 import pytest
 
@@ -13,7 +16,7 @@ from algconn.graph6 import (
     read_corpus,
     write_graph6,
 )
-from algconn.graphs import complete, decode, empty, encode, pair_index, path
+from algconn.graphs import complete, decode, empty, encode, pair_index, path, turan
 
 #: Records every reader must reject, as (record, message, offset after the header).
 MALFORMED = [
@@ -371,6 +374,19 @@ class TestBlockDecoder:
                                              % (1 << nbits))))
         corpus = self._write(tmp_path, lines)
         assert list(read_codes(corpus)) == [_parse_code(line) for line in lines]
+
+    def test_corpus_scan_leaves_numpy_ma_unloaded(self, tmp_path):
+        # NumPy 2.x's np.unique imports numpy.ma lazily, about 15 ms a command.
+        corpus = self._write(tmp_path, [write_graph6(turan(8, 3))] + _seeded_order8_lines(size=300))
+        probe = ("import sys, numpy; loaded = 'numpy.ma' in sys.modules; "
+                 "from algconn import cli; "
+                 f"code = cli.main(['scan', 'max', '8', '3', '--corpus', {str(corpus)!r}]); "
+                 "print(loaded, code, 'numpy.ma' in sys.modules, file=sys.stderr)")
+        proc = subprocess.run([sys.executable, "-c", probe], capture_output=True, text=True)
+        loaded, code, after = proc.stderr.splitlines()[-1].split()
+        if loaded == "True":
+            pytest.skip("import numpy alone loads numpy.ma")
+        assert (code, after) == ("0", "False")
 
 
 @pytest.mark.parametrize("order_line, bad_line", [

@@ -276,6 +276,22 @@ class TestCliqueKernel:
         assert connected[-4] and connected[-2] and connected[-1]
         assert connected[-3] == (n == 1)
 
+    @pytest.mark.parametrize("a", range(5))
+    def test_lookup_table_is_the_brute_force_clique_number(self, a):
+        table = scan_mod._clique_table(a)
+        assert table.shape == (1 << a * (a - 1) // 2, 1 << a) and table.dtype == np.uint8
+        assert scan_mod._clique_table(a) is table and not table.flags.writeable
+        with pytest.raises(ValueError):
+            table[0, 0] = 1
+        for code in range(len(table)):
+            g = decode(a, code) if a else None
+            for mask in range(1 << a):
+                verts = [v for v in range(a) if mask >> v & 1]
+                best = max(size for size in range(len(verts) + 1)
+                           for subset in combinations(verts, size)
+                           if all(g.has_edge(u, v) for u, v in combinations(subset, 2)))
+                assert table[code, mask] == best
+
     def test_ragged_chunks_leave_both_arrays_unchanged(self, monkeypatch):
         codes = _kernel_codes(9)
         whole = scan_mod._table(9, codes, jobs=1)

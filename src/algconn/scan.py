@@ -2,8 +2,8 @@
 
 The labeled graphs of order n are identified with integer codes 0 ..
 2^(n(n-1)/2) - 1 (one bit per vertex pair, in graphs.pair_index order).
-Every table is built by _table over a code array, in two chunked numpy
-passes on one thread pool: a clique-and-connectivity kernel computes every
+Every table is built by _table over a code array, in one pass of chunks on
+one thread pool: per chunk, a clique-and-connectivity kernel computes each
 code's clique number and connectivity, the rows the caller keeps are picked
 from those two columns, and an alpha kernel eigensolves only the kept
 connected rows.  The clique number splits the vertices in two halves: one
@@ -32,7 +32,8 @@ an independent labeled route to check the class route against; it solves
 each code directly, through the same _table call as a corpus scan.
 
 Scans emit certificates: the theoretical bound, the scanned extremum
-(over every labeling of the achievers; only a class table re-solves them),
+(over every labeling of the achievers; a class table eigensolves those
+labelings directly, with no second table),
 the achievers up to isomorphism (each class as its first labeling in scan
 order), the characterization verdict, and any counterexamples (there must
 be none).  Labeled counts and listed graphs are the same as a scan over
@@ -95,7 +96,6 @@ DEFAULT_GUARD = 7
 
 #: Codes per kernel call; each thread's chunk holds a (_CHUNK, n, n) Laplacian batch.
 _CHUNK = 1 << 12
-_TABLE_CACHE: dict[int, "GraphTable"] = {}
 #: Most violating labelings a supersaturation report lists; each is one graph6 string.
 _MAX_VIOLATIONS = 1 << 20
 
@@ -208,43 +208,37 @@ def _table(n: int, codes: np.ndarray, weights: np.ndarray | None = None,
            jobs: int | None = None, keep=None) -> GraphTable:
     """The invariant table over a code array, its rows in the array's order.
 
-    A first pass computes every code's omega and connectivity.  `keep`, a
-    function of those two columns returning a row mask (None keeps every
-    row), then picks the rows the table holds, and a second pass eigensolves
-    only the kept connected rows: alpha is exactly 0.0 on the others.  Each
-    pass splits its rows into contiguous chunks mapped on one thread pool of
-    at most `jobs` threads (None: one per CPU the process may run on; the
-    eigenvalue kernel releases the GIL), each writing its rows in place, so
-    the table is identical regardless of jobs.
+    One pass maps contiguous chunks of the codes on one thread pool of at
+    most `jobs` threads (None: one per CPU the process may run on; the
+    eigenvalue kernel releases the GIL).  Each chunk computes its codes'
+    omega and connectivity, keeps the rows `keep` picks (a function of those
+    two columns returning a boolean row mask; None keeps every row) and
+    eigensolves only its kept connected rows: alpha is exactly 0.0 on the
+    others.  The chunks' rows are joined in order, so the table is
+    identical regardless of jobs.
     """
-    m = len(codes)
-    omega, connected = np.empty(m, np.uint8), np.empty(m, bool)
+    def solve(start: int):
+        chunk = codes[start:start + _CHUNK]
+        omega, connected = _clique_kernel(n, chunk)
+        kept = np.ones(len(chunk), bool) if keep is None else keep(omega, connected)
+        omega, connected = omega[kept], connected[kept]
+        alpha = np.zeros(len(omega))
+        alpha[connected] = _alpha_kernel(n, chunk[kept][connected])
+        return kept, omega, alpha, connected
 
-    def classify(start: int) -> None:
-        chunk = slice(start, start + _CHUNK)
-        omega[chunk], connected[chunk] = _clique_kernel(n, codes[chunk])
-
-    starts = range(0, m, _CHUNK)
+    starts = range(0, len(codes), _CHUNK)
     if jobs is None:
         jobs = (len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity")
                 else os.cpu_count() or 1)
     with ThreadPoolExecutor(max_workers=max(min(jobs, len(starts)), 1)) as pool:
-        list(pool.map(classify, starts))
-        if keep is not None:
-            rows = np.flatnonzero(keep(omega, connected))
-            codes, omega, connected = codes[rows], omega[rows], connected[rows]
-            weights = None if weights is None else weights[rows]
-        solve = np.flatnonzero(connected)
-        alpha = np.zeros(len(codes))
-
-        def eigensolve(start: int) -> None:
-            part = solve[start:start + _CHUNK]
-            alpha[part] = _alpha_kernel(n, codes[part])
-
-        list(pool.map(eigensolve, range(0, len(solve), _CHUNK)))
-    return GraphTable(n, omega, alpha, connected, codes, weights)
+        parts = list(pool.map(solve, starts))
+    empty = (np.zeros(0, bool), np.zeros(0, np.uint8), np.zeros(0), np.zeros(0, bool))
+    kept, omega, alpha, connected = (np.concatenate(column) for column in zip(empty, *parts))
+    return GraphTable(n, omega, alpha, connected, codes[kept],
+                      None if weights is None else weights[kept])
 
 
+@functools.cache
 def build_graph_table(n: int, jobs: int | None = None) -> GraphTable:
     """Compute (or fetch from cache) the table of every labeled code of order n."""
     if n < 2:
@@ -254,17 +248,10 @@ def build_graph_table(n: int, jobs: int | None = None) -> GraphTable:
             f"full table for order {n} would hold 2^{n * (n - 1) // 2} codes; "
             "use corpus mode beyond order 7"
         )
-    cached = _TABLE_CACHE.get(n)
-    if cached is not None:
-        return cached
-    codes = np.arange(1 << (n * (n - 1) // 2), dtype=np.int64)
-    table = _table(n, codes, jobs=jobs)
-    _TABLE_CACHE[n] = table
-    return table
+    return _table(n, np.arange(1 << (n * (n - 1) // 2), dtype=np.int64), jobs=jobs)
 
 
-def clear_table_cache() -> None:
-    _TABLE_CACHE.clear()
+clear_table_cache = build_graph_table.cache_clear
 
 
 @functools.cache
@@ -327,7 +314,8 @@ def _labelings(n: int, code: int) -> np.ndarray:
     for b in range(len(images)):
         if code >> b & 1:
             out |= np.left_shift(1, images[b], dtype=np.int64)  # int64 under any promotion rules
-    return np.unique(out)
+    out.sort()
+    return out[np.diff(out, prepend=-1) != 0]  # np.unique would import numpy.ma
 
 
 def _corpus_table(corpus, n: int, jobs: int | None, keep=None) -> GraphTable:
@@ -385,15 +373,15 @@ class ExtremalCertificate:
         return json.dumps(self.to_dict(), indent=2)
 
 
-def _scan_input(n: int, guard: int, jobs: int | None, corpus, keep=None):
-    """The table a scan reads and the source it reports.
+def _scan_input(n: int, guard: int, jobs: int | None, corpus, keep=None) -> GraphTable:
+    """The table a scan reads.
 
     A corpus gives a labeled table over its graphs; enumeration gives the
     class table.  Both are built by _table on up to `jobs` threads and hold
     only the rows `keep` picks (None: every row).
     """
     if corpus is not None:
-        return _corpus_table(corpus, n, jobs, keep), "corpus"
+        return _corpus_table(corpus, n, jobs, keep)
     if n > guard:
         raise ValueError(
             f"order {n} exceeds the enumeration guard {guard}; supply a corpus"
@@ -405,7 +393,7 @@ def _scan_input(n: int, guard: int, jobs: int | None, corpus, keep=None):
             f"order {n} would key at least {12_346 << (n - 1):,} grown graphs, "
             "against 133,632 at order 8; supply a corpus beyond order 8"
         )
-    return _table(n, *_classes(n), jobs, keep), "enumeration"
+    return _table(n, *_classes(n), jobs, keep)
 
 
 def _counterexample(g: Graph, reason: str) -> dict:
@@ -414,18 +402,20 @@ def _counterexample(g: Graph, reason: str) -> dict:
 
 def _extremal_scan(
     table: GraphTable, r: int, mode: str, *, bound: float, beyond: np.ndarray,
-    reason: str, target: Graph, achieves, source: str, jobs: int | None,
+    target: Graph, achieves,
 ) -> ExtremalCertificate:
     """Certificate for one side of an extremal statement over a graph table.
 
     Every row of the table is one the statement covers; `beyond` masks the
-    rows whose alpha breaks the bound (reported as `reason`).  The extremum
-    of alpha must equal the bound, attained by `target`; every equality
-    achiever, up to isomorphism, must pass `achieves`.  `achieved` is the
-    extremum over every labeling of the achievers (rows within EQUALITY_TOL
-    of the extremum): a labeled table's rows are those labelings, and a
-    class table solves them again on `jobs` threads, so `achieved` does not
-    depend on which labeling of its class a row holds.
+    rows whose alpha breaks the bound.  The extremum of alpha must equal the
+    bound, attained by `target`; every equality achiever, up to isomorphism,
+    must pass `achieves`.  `achieved` is the extremum over every labeling of
+    the achievers (rows within EQUALITY_TOL of the extremum): a labeled
+    table's rows are those labelings, and a class table's are eigensolved
+    directly, _CHUNK codes at a time.  That is exact because every achiever
+    is connected: the min side keeps only connected rows, and on the max
+    side the class table holds T_{n,r}, whose alpha is at least 1, so every
+    row within EQUALITY_TOL of the extremum has alpha > 0.
     """
     if not table.size:
         raise ValueError("corpus contained no eligible graphs")
@@ -434,8 +424,11 @@ def _extremal_scan(
     if table.weights is None:
         exact = table.alpha[hits]
     else:
-        exact = _table(table.n, table.labeled(hits), jobs=jobs).alpha
+        codes = table.labeled(hits)
+        exact = np.concatenate([_alpha_kernel(table.n, codes[start:start + _CHUNK])
+                                for start in range(0, len(codes), _CHUNK)])
     achieved = float(exact.max() if mode == "max" else exact.min())
+    reason = "bound-exceeded" if mode == "max" else "bound-undershot"
     counterexamples = [
         _counterexample(decode(table.n, int(code)), reason)
         for code in table.labeled(np.nonzero(beyond)[0], first=20)[:20]
@@ -457,7 +450,7 @@ def _extremal_scan(
         characterization_ok=not failing,
         counterexamples=counterexamples,
         graphs_scanned=int(table.size if table.weights is None else table.weights.sum()),
-        source=source,
+        source="corpus" if table.weights is None else "enumeration",
     )
 
 
@@ -489,10 +482,10 @@ def verify_max_theorem(
     else:
         achieves = lambda g: check_join_characterization(g, r, tol)
     # omega <= r < n also excludes the complete graph.
-    table, src = _scan_input(n, guard, jobs, corpus, keep=lambda omega, connected: omega <= r)
+    table = _scan_input(n, guard, jobs, corpus, keep=lambda omega, connected: omega <= r)
     return _extremal_scan(
-        table, r, "max", bound=bound, beyond=table.alpha > bound + tol, reason="bound-exceeded",
-        target=target, achieves=achieves, source=src, jobs=jobs,
+        table, r, "max", bound=bound, beyond=table.alpha > bound + tol,
+        target=target, achieves=achieves,
     )
 
 
@@ -517,11 +510,11 @@ def verify_min_theorem(
         raise ValueError(f"need 2 <= r <= n, got r={r}, n={n}")
     target = kite(n, r)
     bound = algebraic_connectivity(target)
-    table, src = _scan_input(n, guard, jobs, corpus,
-                             keep=lambda omega, connected: (omega == r) & connected)
+    table = _scan_input(n, guard, jobs, corpus,
+                        keep=lambda omega, connected: (omega == r) & connected)
     return _extremal_scan(
-        table, r, "min", bound=bound, beyond=table.alpha < bound - tol, reason="bound-undershot",
-        target=target, achieves=lambda g: is_isomorphic(g, target), source=src, jobs=jobs,
+        table, r, "min", bound=bound, beyond=table.alpha < bound - tol,
+        target=target, achieves=lambda g: is_isomorphic(g, target),
     )
 
 

@@ -377,16 +377,19 @@ class TestBlockDecoder:
 
     def test_corpus_scan_leaves_numpy_ma_unloaded(self, tmp_path):
         # NumPy 2.x's np.unique imports numpy.ma lazily, about 15 ms a command.
+        # The enumerated scans list their achievers' labelings without it too.
         corpus = self._write(tmp_path, [write_graph6(turan(8, 3))] + _seeded_order8_lines(size=300))
-        probe = ("import sys, numpy; loaded = 'numpy.ma' in sys.modules; "
-                 "from algconn import cli; "
-                 f"code = cli.main(['scan', 'max', '8', '3', '--corpus', {str(corpus)!r}]); "
-                 "print(loaded, code, 'numpy.ma' in sys.modules, file=sys.stderr)")
-        proc = subprocess.run([sys.executable, "-c", probe], capture_output=True, text=True)
-        loaded, code, after = proc.stderr.splitlines()[-1].split()
-        if loaded == "True":
-            pytest.skip("import numpy alone loads numpy.ma")
-        assert (code, after) == ("0", "False")
+        for scan in (["max", "8", "3", "--corpus", str(corpus)], ["max", "7", "3"],
+                     ["min", "7", "3"]):
+            probe = ("import sys, numpy; loaded = 'numpy.ma' in sys.modules; "
+                     "from algconn import cli; "
+                     f"code = cli.main(['scan', *{scan!r}]); "
+                     "print(loaded, code, 'numpy.ma' in sys.modules, file=sys.stderr)")
+            proc = subprocess.run([sys.executable, "-c", probe], capture_output=True, text=True)
+            loaded, code, after = proc.stderr.splitlines()[-1].split()
+            if loaded == "True":
+                pytest.skip("import numpy alone loads numpy.ma")
+            assert (code, after) == ("0", "False"), scan
 
 
 @pytest.mark.parametrize("order_line, bad_line", [

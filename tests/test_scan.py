@@ -93,6 +93,21 @@ class TestGraphTable:
         assert np.array_equal(alpha[connected], table.alpha[connected])
         assert not table.alpha[~connected].any()
 
+    @pytest.mark.parametrize("keep", [None, lambda omega, connected: connected])
+    def test_empty_code_array_gives_empty_columns(self, keep):
+        table = scan_mod._table(5, np.zeros(0, np.int64), jobs=2, keep=keep)
+        columns = (table.omega, table.alpha, table.connected, table.codes)
+        assert [(len(c), c.dtype) for c in columns] == [
+            (0, np.uint8), (0, np.float64), (0, np.bool_), (0, np.int64)]
+
+    def test_labeled_table_is_cached_until_cleared(self):
+        table = build_graph_table(4)
+        assert build_graph_table(4) is table
+        scan_mod.clear_table_cache()
+        rebuilt = build_graph_table(4)
+        assert rebuilt is not table
+        assert rebuilt.alpha.tobytes() == table.alpha.tobytes()
+
     def test_chunked_parallel_merge_is_deterministic(self, monkeypatch):
         # Within a route, jobs and chunk size leave every array unchanged.
         from algconn import scan
@@ -102,26 +117,23 @@ class TestGraphTable:
         routes = (
             lambda jobs: build_graph_table(5, jobs=jobs),
             lambda jobs: scan._corpus_table(iter(corpus), 5, jobs),
-            lambda jobs: scan._scan_input(5, 7, jobs, None)[0],
+            lambda jobs: scan._scan_input(5, 7, jobs, None),
         )
         firsts = []
-        try:
-            for route in routes:
-                built = []
-                # One chunk, then chunks of 10 with a ragged last one (4 codes
-                # of the 1,024 labeled codes or of the 34 classes).
-                for chunk in (scan._CHUNK, 10):
-                    monkeypatch.setattr(scan, "_CHUNK", chunk)
-                    for jobs in (1, 4):
-                        scan._TABLE_CACHE.pop(5, None)
-                        built.append(route(jobs))
-                for rebuilt in built[1:]:
-                    assert np.array_equal(rebuilt.omega, built[0].omega)
-                    assert np.array_equal(rebuilt.alpha, built[0].alpha)
-                    assert np.array_equal(rebuilt.connected, built[0].connected)
-                firsts.append(built[0])
-        finally:
-            scan._TABLE_CACHE[5] = reference
+        for route in routes:
+            built = []
+            # One chunk, then chunks of 10 with a ragged last one (4 codes
+            # of the 1,024 labeled codes or of the 34 classes).
+            for chunk in (scan._CHUNK, 10):
+                monkeypatch.setattr(scan, "_CHUNK", chunk)
+                for jobs in (1, 4):
+                    scan.clear_table_cache()
+                    built.append(route(jobs))
+            for rebuilt in built[1:]:
+                assert np.array_equal(rebuilt.omega, built[0].omega)
+                assert np.array_equal(rebuilt.alpha, built[0].alpha)
+                assert np.array_equal(rebuilt.connected, built[0].connected)
+            firsts.append(built[0])
         enumerated, from_corpus, classes = firsts
         assert classes.size == 34
         assert np.array_equal(enumerated.alpha, reference.alpha)
@@ -222,14 +234,15 @@ class TestGraphTable:
         return sizes
 
     def test_jobs_sizes_every_pool_of_a_scan(self, monkeypatch):
-        # The class table and the achiever re-solve, both split by small
-        # chunks; a corpus scan builds its one table on one pool.
+        # The class table, split by small chunks, and a corpus scan's table
+        # are each built on one pool; a class scan's achiever labelings are
+        # eigensolved without one.
         sizes = self._pool_sizes(monkeypatch)
         corpus = [(5, code) for code in range(1 << 10)]
         for jobs in (1, 3):
             sizes.clear()
             assert verify_min_theorem(6, 3, jobs=jobs).ok
-            assert sizes == [jobs, jobs]
+            assert sizes == [jobs]
             sizes.clear()
             assert verify_min_theorem(5, 3, jobs=jobs, corpus=corpus).ok
             assert sizes == [jobs]
@@ -494,7 +507,7 @@ class TestMaxTheorem:
             for verify, r in cases:
                 from_corpus = verify(n, r, corpus=iter(corpus))
                 direct = verify(n, r)
-                assert from_corpus.source == "corpus"
+                assert (from_corpus.source, direct.source) == ("corpus", "enumeration")
                 from_corpus.source = direct.source
                 assert from_corpus.to_json() == direct.to_json(), (verify.__name__, n, r)
 
@@ -608,8 +621,8 @@ class TestMinTheorem:
         target = kite(n, r)
         cert = scan_mod._extremal_scan(
             table, r, "min", bound=scan_mod.algebraic_connectivity(target),
-            beyond=np.ones(table.size, bool), reason="bound-undershot", target=target,
-            achieves=lambda g: is_isomorphic(g, target), source="enumeration", jobs=1,
+            beyond=np.ones(table.size, bool), target=target,
+            achieves=lambda g: is_isomorphic(g, target),
         )
         labeled = build_graph_table(n)
         oracle = np.nonzero((labeled.omega == r) & labeled.connected)[0][:20]

@@ -15,6 +15,7 @@ for stdin (one graph per line, batching allowed), or "@path" for a file.
 from __future__ import annotations
 
 import argparse
+import csv
 import json
 import sys
 from dataclasses import asdict
@@ -68,15 +69,15 @@ def _input_graphs(args):
 
 def _emit(reports, fmt: str) -> None:
     """Print each report dict; csv prints a header only where the columns change."""
-    header = None
+    header, writer = None, csv.writer(sys.stdout, lineterminator="\n")
     for report in reports:
         if fmt == "json":
             print(json.dumps(report))
         elif fmt == "csv":
             if list(report) != header:
                 header = list(report)
-                print(",".join(header))
-            print(",".join(_csv_cell(v) for v in report.values()))
+                writer.writerow(header)
+            writer.writerow(_csv_cell(v) for v in report.values())
         else:
             for key, value in report.items():
                 print(f"{key}: {value}")

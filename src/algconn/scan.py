@@ -6,10 +6,10 @@ Every table is built by _table over a code array, in one pass of chunks on
 one thread pool: per chunk, a clique-and-connectivity kernel computes each
 code's clique number and connectivity, the rows the caller keeps are picked
 from those two columns, and an alpha kernel eigensolves only the kept
-connected rows.  The clique number splits the vertices in two halves: one
-cached table holds the clique number of every graph on the first n // 2
-vertices within every vertex mask, and each of the 2^(n - n//2) vertex
-subsets of the other half that is a clique adds its size to one lookup.
+connected rows.  The kernel reads only each code's columns (vertex v's lower
+neighbours): a cached table holds the clique number of every graph on the
+first n // 2 vertices within every vertex mask, each clique among the other
+vertices adds its size to one lookup, and connectivity sweeps the columns.
 The extremal scans keep only the graphs their theorem covers (omega <= r on
 the max side, omega == r and connected on the min side), so every row of
 their GraphTable is eligible and no other graph is eigensolved.
@@ -66,7 +66,6 @@ from .graphs import (
     induced_subgraph,
     is_isomorphic,
     kite,
-    pair_index,
     pairs,
     turan,
 )
@@ -140,24 +139,22 @@ def _clique_table(a: int) -> np.ndarray:
     A uint8 array of shape (2^(a(a-1)/2), 2^a), read-only, as the cache
     shares it: the precomputed clique numbers of Östergård's maximum-clique
     algorithm (Discrete Appl. Math. 120, 2002), over every code at once.
-    Each vertex subset scores its size where it is a clique of c, and a
-    subset-max pass over the a mask bits takes the best score within M.
+    Filled in increasing M, with v = top(M) and col_v(c) its lower neighbours:
+    T[c, M] = max(T[c, M - v], 1 + T[c, (M - v) & col_v(c)]).
     """
     codes = np.arange(1 << (a * (a - 1) // 2), dtype=np.int64)
     table = np.zeros((len(codes), 1 << a), np.uint8)
-    for subset in range(1, 1 << a):
-        verts = [v for v in range(a) if subset >> v & 1]
-        mask = sum(1 << pair_index(u, v) for u, v in combinations(verts, 2))
-        table[(codes & mask) == mask, subset] = len(verts)
-    masks = np.arange(1 << a)
-    for v in range(a):
-        table = np.maximum(table, table[:, masks & ~(1 << v)])
+    for mask in range(1, 1 << a):
+        v = mask.bit_length() - 1
+        rest = mask ^ (1 << v)
+        lower = codes >> (v * (v - 1) // 2) & rest  # v's neighbours in M - v
+        table[:, mask] = np.maximum(table[:, rest], 1 + table[codes, lower])
     table.flags.writeable = False
     return table
 
 
 def _clique_kernel(n: int, codes: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """(omega, connected) for each code: a half-order clique table and a reachability sweep.
+    """(omega, connected) for each code, read from its code columns alone.
 
     Column v of a code (bits v(v-1)/2 on) holds v's lower neighbours.  The
     vertices split into A = {0..a-1}, a = n // 2, and B = {a..n-1}: G[A]'s
@@ -167,8 +164,10 @@ def _clique_kernel(n: int, codes: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     S - t is one and t's B neighbours cover S - t, and S's common A
     neighbourhood is that of S - t within t's A neighbours.  omega is the
     best |S| + T_a[G[A], common A neighbours of S] over the cliques S of B
-    (_clique_table), 2^(n-a) steps.  Connectivity sweeps the neighbour rows
-    from vertex 0 until a sweep reaches no new vertex.
+    (_clique_table), 2^(n-a) steps.  Connectivity repeats, from vertex 0, an
+    ascending pass (v joins if a lower neighbour is reached) and a descending
+    one (a reached v adds its lower neighbours) until a round adds nothing:
+    each edge u < v is a bit of column v, so the passes cross it both ways.
     """
     m, a = len(codes), n // 2
     low = (1 << a) - 1
@@ -187,15 +186,13 @@ def _clique_kernel(n: int, codes: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         common.append(common[rest] & a_nbrs[t])
         np.maximum(omega, (lookup[base | common[s]] + s.bit_count()) * clique[s], out=omega)
 
-    rows = np.zeros((n, m), np.int64)  # v's neighbour bits
-    for v, col in enumerate(cols):
-        rows[v] |= col
-        rows[:v] |= (col >> np.arange(v)[:, None] & 1) << v
     reach, before = np.ones(m, np.int64), None
     while not np.array_equal(reach, before):
         before = reach.copy()
-        for v in range(n):
-            reach |= rows[v] * (reach >> v & 1)
+        for v in range(1, n):
+            reach |= ((cols[v] & reach) != 0).astype(np.int64) << v
+        for v in range(n - 1, 0, -1):
+            reach |= cols[v] * (reach >> v & 1)
     return omega, reach == (1 << n) - 1
 
 

@@ -1,5 +1,6 @@
 """CLI tests: exit codes, formats, input conventions."""
 
+import csv
 import io
 import json
 import shlex
@@ -370,6 +371,18 @@ class TestScan:
         assert code == 1
         cert = json.loads(out)
         assert any(c["reason"] == "extremum-mismatch" for c in cert["counterexamples"])
+
+    def test_failing_csv_row_has_as_many_fields_as_its_header(self, capsys, tmp_path):
+        # A failing certificate's counterexamples cell holds dict reprs, commas included.
+        corpus = tmp_path / "paw.g6"
+        corpus.write_text("CF\n")
+        code, out, _ = run_cli(
+            capsys, "--format", "csv", "scan", "max", "4", "2", "--corpus", str(corpus)
+        )
+        assert code == 1
+        header, row = csv.reader(io.StringIO(out))
+        assert len(row) == len(header) == 10
+        assert "'reason': 'extremum-mismatch'" in row[header.index("counterexamples")]
 
     def test_lenient_g6_flag(self, capsys):
         code, _, err = run_cli(capsys, "clique", "A`")

@@ -261,15 +261,20 @@ class TestGraphTable:
 
 def _kernel_codes(n: int) -> np.ndarray:
     """Seeded order-n codes with each code's edge density drawn from [0, 1], as a
-    corpus's are, plus K_n, the empty graph, path(n) and the path 0, n-1, ..., 1:
-    a sweep in vertex order from vertex 0 reaches one more vertex of it per pass."""
+    corpus's are, plus the zig-zag path 0, n-1, 1, n-2, ..., K_n, the empty graph,
+    path(n) and the path 0, n-1, ..., 1.  An up-and-down sweep from vertex 0
+    reaches two more vertices of the zig-zag path per round, so it takes
+    n // 2 + 1 rounds, as many as any graph of order <= 7 takes; a sweep in
+    vertex order reaches one more vertex of the last path per pass."""
     rng = np.random.default_rng(100 + n)
     bits = n * (n - 1) // 2
     density = rng.random((300, 1))
     edges = rng.random((300, bits)) < density
     codes = (edges << np.arange(bits, dtype=np.int64)).sum(axis=1, dtype=np.int64)
+    zigzag = [v for pair in zip(range(n), range(n - 1, -1, -1)) for v in pair][:n]
     worst = [0, *range(n - 1, 0, -1)]
-    special = [(1 << bits) - 1, 0, encode(path(n)),
+    special = [encode(Graph.from_edges(n, zip(zigzag, zigzag[1:]))),
+               (1 << bits) - 1, 0, encode(path(n)),
                encode(Graph.from_edges(n, zip(worst, worst[1:])))]
     return np.concatenate([codes, np.array(special, np.int64)])
 
@@ -286,6 +291,7 @@ class TestCliqueKernel:
         assert omega.tolist() == [max_clique(g).omega for g in graphs]
         assert connected.tolist() == [is_connected(g) for g in graphs]
         assert omega[-4] == n and omega[-3] == 1
+        assert connected[-5]
         assert connected[-4] and connected[-2] and connected[-1]
         assert connected[-3] == (n == 1)
 
@@ -308,7 +314,7 @@ class TestCliqueKernel:
     def test_ragged_chunks_leave_both_arrays_unchanged(self, monkeypatch):
         codes = _kernel_codes(9)
         whole = scan_mod._table(9, codes, jobs=1)
-        monkeypatch.setattr(scan_mod, "_CHUNK", 7)  # 304 codes: 43 chunks, the last of 3
+        monkeypatch.setattr(scan_mod, "_CHUNK", 7)  # 305 codes: 44 chunks, the last of 4
         for jobs in (1, 3):
             ragged = scan_mod._table(9, codes, jobs=jobs)
             assert ragged.omega.tobytes() == whole.omega.tobytes()

@@ -5,6 +5,12 @@ computations, the two-sided clique bounds, pendant-path rewrites, and
 exhaustive small-order verification of the extremal characterizations.
 """
 
+import os
+
+# Before NumPy loads: every table parallelises over its own thread pool, and
+# no BLAS call here is large enough to thread.  A caller's own value wins.
+os.environ.setdefault("OPENBLAS_NUM_THREADS", "1")
+
 from .bounds import (
     BoundsReport,
     clique_lower_bound,

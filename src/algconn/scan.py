@@ -12,7 +12,13 @@ first n // 2 vertices within every vertex mask, each clique among the other
 vertices adds its size to one lookup, and connectivity sweeps the columns.
 The extremal scans keep only the graphs their theorem covers (omega <= r on
 the max side, omega == r and connected on the min side), so every row of
-their GraphTable is eligible and no other graph is eigensolved.
+their GraphTable is eligible and no other graph is eigensolved.  Of those,
+a screen on the chunk's Laplacians picks the rows a verdict can depend on:
+on the max side those of minimum degree at least the Turan bound (alpha <=
+minimum degree on a non-complete graph, Fiedler 1973), on the min side
+those a Cholesky elimination cannot certify above the kite's alpha plus
+SETTLE_MARGIN.  The other rows hold alpha NaN; _extremal_scan settles them
+unsolved when no verdict can depend on them and eigensolves them otherwise.
 
 The max/min scans by enumeration and the supersaturation check run over
 isomorphism classes instead: the omega, alpha and connectivity of a graph do
@@ -72,6 +78,8 @@ from .graphs import (
 from .spectra import (
     BOUND_TOL,
     EQUALITY_TOL,
+    PIVOT_TOL,
+    SETTLE_MARGIN,
     STRICT_TOL,
     algebraic_connectivity,
     laplacians,
@@ -110,7 +118,7 @@ class GraphTable:
 
     n: int
     omega: np.ndarray      # uint8
-    alpha: np.ndarray      # float64; exactly 0.0 for disconnected codes
+    alpha: np.ndarray      # float64; exactly 0.0 for disconnected codes, NaN if screened
     connected: np.ndarray  # bool
     codes: np.ndarray      # int64
     weights: np.ndarray | None = None  # int64
@@ -196,23 +204,64 @@ def _clique_kernel(n: int, codes: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return omega, reach == (1 << n) - 1
 
 
-def _alpha_kernel(n: int, codes: np.ndarray) -> np.ndarray:
-    """Second-smallest Laplacian eigenvalue of each code, from one eigensolve of spectra.laplacians."""
-    return np.linalg.eigvalsh(laplacians(adjacency(n, codes)))[:, 1]
+def _alpha_kernel(n: int, codes: np.ndarray, screen=None) -> np.ndarray:
+    """Second-smallest Laplacian eigenvalue of each code, from one eigensolve of spectra.laplacians.
+
+    `screen` maps the (m, n, n) Laplacian stack to the rows to eigensolve
+    (None: every row); the others hold NaN.
+    """
+    lap = laplacians(adjacency(n, codes))
+    rows = slice(None) if screen is None else screen(lap)
+    alpha = np.full(len(codes), np.nan)
+    alpha[rows] = np.linalg.eigvalsh(lap[rows])[:, 1]
+    return alpha
+
+
+def _alphas(n: int, codes: np.ndarray) -> np.ndarray:
+    """_alpha_kernel over a nonempty code array, _CHUNK codes at a time."""
+    return np.concatenate([_alpha_kernel(n, codes[start:start + _CHUNK])
+                           for start in range(0, len(codes), _CHUNK)])
+
+
+def _min_degree(lap: np.ndarray) -> np.ndarray:
+    """Minimum degree of each Laplacian in a stack, read off its diagonal."""
+    return lap.diagonal(axis1=1, axis2=2).min(axis=1)
+
+
+def _exceeds(lap: np.ndarray, floor: float) -> np.ndarray:
+    """Rows of a Laplacian stack whose alpha provably exceeds floor.
+
+    L + J has L's eigenvalues with the 0 of the all-ones vector raised to n,
+    and alpha <= n, so L + J - floor*I is positive definite iff alpha > floor.
+    A Cholesky elimination runs over the whole stack, n steps, and certifies
+    each row whose pivots all stay above PIVOT_TOL; a failed row's later
+    steps update nothing.
+    """
+    n = lap.shape[-1]
+    m = lap + (1 - floor * np.eye(n))
+    ok = np.ones(len(m), bool)
+    for k in range(n):
+        pivot = m[:, k, k]
+        ok &= pivot > PIVOT_TOL
+        col = m[:, k + 1:, k] * (ok / np.where(ok, pivot, 1))[:, None]
+        m[:, k + 1:, k + 1:] -= col[:, :, None] * m[:, None, k, k + 1:]
+    return ok
 
 
 def _table(n: int, codes: np.ndarray, weights: np.ndarray | None = None,
-           jobs: int | None = None, keep=None) -> GraphTable:
+           jobs: int | None = None, keep=None, screen=None) -> GraphTable:
     """The invariant table over a code array, its rows in the array's order.
 
     One pass maps contiguous chunks of the codes on one thread pool of at
     most `jobs` threads (None: one per CPU the process may run on; the
     eigenvalue kernel releases the GIL).  Each chunk computes its codes'
     omega and connectivity, keeps the rows `keep` picks (a function of those
-    two columns returning a boolean row mask; None keeps every row) and
-    eigensolves only its kept connected rows: alpha is exactly 0.0 on the
-    others.  The chunks' rows are joined in order, so the table is
-    identical regardless of jobs.
+    two columns returning a boolean row mask; None keeps every row and the
+    table holds `codes` and `weights` as given) and eigensolves its kept
+    connected rows: alpha is exactly 0.0 on the others.  `screen` is
+    _alpha_kernel's, applied to those rows' Laplacians: a kept connected row
+    it leaves out holds alpha NaN.  The chunks' rows are joined in order, so
+    the table is identical regardless of jobs.
     """
     def solve(start: int):
         chunk = codes[start:start + _CHUNK]
@@ -220,7 +269,7 @@ def _table(n: int, codes: np.ndarray, weights: np.ndarray | None = None,
         kept = np.ones(len(chunk), bool) if keep is None else keep(omega, connected)
         omega, connected = omega[kept], connected[kept]
         alpha = np.zeros(len(omega))
-        alpha[connected] = _alpha_kernel(n, chunk[kept][connected])
+        alpha[connected] = _alpha_kernel(n, chunk[kept][connected], screen)
         return kept, omega, alpha, connected
 
     starts = range(0, len(codes), _CHUNK)
@@ -231,8 +280,9 @@ def _table(n: int, codes: np.ndarray, weights: np.ndarray | None = None,
         parts = list(pool.map(solve, starts))
     empty = (np.zeros(0, bool), np.zeros(0, np.uint8), np.zeros(0), np.zeros(0, bool))
     kept, omega, alpha, connected = (np.concatenate(column) for column in zip(empty, *parts))
-    return GraphTable(n, omega, alpha, connected, codes[kept],
-                      None if weights is None else weights[kept])
+    if keep is not None:
+        codes, weights = codes[kept], None if weights is None else weights[kept]
+    return GraphTable(n, omega, alpha, connected, codes, weights)
 
 
 @functools.cache
@@ -315,13 +365,14 @@ def _labelings(n: int, code: int) -> np.ndarray:
     return out[np.diff(out, prepend=-1) != 0]  # np.unique would import numpy.ma
 
 
-def _corpus_table(corpus, n: int, jobs: int | None, keep=None) -> GraphTable:
+def _corpus_table(corpus, n: int, jobs: int | None, keep=None, screen=None) -> GraphTable:
     """Invariant table over a corpus of order-n graphs, consumed once, rows in order.
 
     Each item is a Graph, encoded here, an (order, code) pair as
     graph6.read_codes yields, or an (order, codes) pair whose codes are an
     int64 array, as graph6.read_code_blocks yields for a run of records.
-    Codes are tabled as given if 0 <= code < 2^(n(n-1)/2); `keep` is _table's.
+    Codes are tabled as given if 0 <= code < 2^(n(n-1)/2); `keep` and
+    `screen` are _table's.
     """
     if n > 11:
         raise ValueError(f"corpus order {n} beyond 11: its codes would not fit in 64 bits")
@@ -338,7 +389,7 @@ def _corpus_table(corpus, n: int, jobs: int | None, keep=None) -> GraphTable:
     codes = np.concatenate([*blocks, np.array(run, np.int64)])
     if len(bad := np.flatnonzero(codes >> (n * (n - 1) // 2))):
         raise ValueError(f"corpus item {bad[0]}: code {codes[bad[0]]} out of range for order {n}")
-    return _table(n, codes, jobs=jobs, keep=keep)
+    return _table(n, codes, jobs=jobs, keep=keep, screen=screen)
 
 
 # ---------------------------------------------------------------------------
@@ -370,15 +421,17 @@ class ExtremalCertificate:
         return json.dumps(self.to_dict(), indent=2)
 
 
-def _scan_input(n: int, guard: int, jobs: int | None, corpus, keep=None) -> GraphTable:
+def _scan_input(n: int, guard: int, jobs: int | None, corpus, keep=None,
+                screen=None) -> GraphTable:
     """The table a scan reads.
 
     A corpus gives a labeled table over its graphs; enumeration gives the
-    class table.  Both are built by _table on up to `jobs` threads and hold
-    only the rows `keep` picks (None: every row).
+    class table.  Both are built by _table on up to `jobs` threads, hold
+    only the rows `keep` picks (None: every row) and eigensolve only the
+    connected rows `screen` picks (None: every one).
     """
     if corpus is not None:
-        return _corpus_table(corpus, n, jobs, keep)
+        return _corpus_table(corpus, n, jobs, keep, screen)
     if n > guard:
         raise ValueError(
             f"order {n} exceeds the enumeration guard {guard}; supply a corpus"
@@ -390,7 +443,7 @@ def _scan_input(n: int, guard: int, jobs: int | None, corpus, keep=None) -> Grap
             f"order {n} would key at least {12_346 << (n - 1):,} grown graphs, "
             "against 133,632 at order 8; supply a corpus beyond order 8"
         )
-    return _table(n, *_classes(n), jobs, keep)
+    return _table(n, *_classes(n), jobs, keep, screen)
 
 
 def _counterexample(g: Graph, reason: str) -> dict:
@@ -398,37 +451,50 @@ def _counterexample(g: Graph, reason: str) -> dict:
 
 
 def _extremal_scan(
-    table: GraphTable, r: int, mode: str, *, bound: float, beyond: np.ndarray,
+    table: GraphTable, r: int, mode: str, *, bound: float, beyond, settled: float,
     target: Graph, achieves,
 ) -> ExtremalCertificate:
     """Certificate for one side of an extremal statement over a graph table.
 
-    Every row of the table is one the statement covers; `beyond` masks the
-    rows whose alpha breaks the bound.  The extremum of alpha must equal the
-    bound, attained by `target`; every equality achiever, up to isomorphism,
-    must pass `achieves`.  `achieved` is the extremum over every labeling of
-    the achievers (rows within EQUALITY_TOL of the extremum): a labeled
-    table's rows are those labelings, and a class table's are eigensolved
-    directly, _CHUNK codes at a time.  That is exact because every achiever
-    is connected: the min side keeps only connected rows, and on the max
-    side the class table holds T_{n,r}, whose alpha is at least 1, so every
-    row within EQUALITY_TOL of the extremum has alpha > 0.
+    Every row of the table is one the statement covers; `beyond` maps alphas
+    to the mask of those that break the bound.  The extremum of alpha must
+    equal the bound, attained by `target`; every equality achiever, up to
+    isomorphism, must pass `achieves`.  `achieved` is the extremum over every
+    labeling of the achievers (rows within EQUALITY_TOL of the extremum): a
+    labeled table's rows are those labelings, and a class table's are
+    eigensolved directly, _CHUNK codes at a time.  That is exact because
+    every achiever is connected: the min side keeps only connected rows, and
+    on the max side the class table holds T_{n,r}, whose alpha is at least 1,
+    so every row within EQUALITY_TOL of the extremum has alpha > 0.
+
+    A row the table's screen left unsolved (alpha NaN) has alpha at most
+    `settled` on the max side and above it on the min side.  Settle or
+    solve: if settled lies more than EQUALITY_TOL inside the extremum of the
+    solved rows and is not beyond, no unsolved row can be an achiever or a
+    counterexample, and settled stands in for each of them.  Otherwise, as
+    when every row was screened, the unsolved rows are eigensolved.
     """
     if not table.size:
         raise ValueError("corpus contained no eligible graphs")
-    extremum = table.alpha.max() if mode == "max" else table.alpha.min()
-    hits = np.nonzero(np.abs(table.alpha - extremum) <= EQUALITY_TOL)[0]
-    if table.weights is None:
-        exact = table.alpha[hits]
-    else:
-        codes = table.labeled(hits)
-        exact = np.concatenate([_alpha_kernel(table.n, codes[start:start + _CHUNK])
-                                for start in range(0, len(codes), _CHUNK)])
+    alpha = table.alpha
+    unsolved = np.isnan(alpha)
+    if unsolved.any():
+        solved = alpha[~unsolved]
+        inside = solved.size and (settled < solved.max() - EQUALITY_TOL if mode == "max"
+                                  else settled > solved.min() + EQUALITY_TOL)
+        if inside and not beyond(settled):
+            alpha = np.where(unsolved, settled, alpha)
+        else:
+            alpha = alpha.copy()
+            alpha[unsolved] = _alphas(table.n, table.codes[unsolved])
+    extremum = alpha.max() if mode == "max" else alpha.min()
+    hits = np.nonzero(np.abs(alpha - extremum) <= EQUALITY_TOL)[0]
+    exact = alpha[hits] if table.weights is None else _alphas(table.n, table.labeled(hits))
     achieved = float(exact.max() if mode == "max" else exact.min())
     reason = "bound-exceeded" if mode == "max" else "bound-undershot"
     counterexamples = [
         _counterexample(decode(table.n, int(code)), reason)
-        for code in table.labeled(np.nonzero(beyond)[0], first=20)[:20]
+        for code in table.labeled(np.nonzero(beyond(alpha))[0], first=20)[:20]
     ]
     if abs(achieved - bound) > EQUALITY_TOL:
         counterexamples.append(
@@ -478,11 +544,13 @@ def verify_max_theorem(
         achieves = lambda g: is_isomorphic(g, target)
     else:
         achieves = lambda g: check_join_characterization(g, r, tol)
-    # omega <= r < n also excludes the complete graph.
-    table = _scan_input(n, guard, jobs, corpus, keep=lambda omega, connected: omega <= r)
+    # omega <= r < n also excludes the complete graph, so Fiedler's alpha <=
+    # minimum degree holds on every row: below the integer bound, alpha <= bound - 1.
+    table = _scan_input(n, guard, jobs, corpus, keep=lambda omega, connected: omega <= r,
+                        screen=lambda lap: _min_degree(lap) >= bound)
     return _extremal_scan(
-        table, r, "max", bound=bound, beyond=table.alpha > bound + tol,
-        target=target, achieves=achieves,
+        table, r, "max", bound=bound, beyond=lambda alpha: alpha > bound + tol,
+        settled=bound - 1, target=target, achieves=achieves,
     )
 
 
@@ -507,11 +575,13 @@ def verify_min_theorem(
         raise ValueError(f"need 2 <= r <= n, got r={r}, n={n}")
     target = kite(n, r)
     bound = algebraic_connectivity(target)
+    settled = bound + SETTLE_MARGIN
     table = _scan_input(n, guard, jobs, corpus,
-                        keep=lambda omega, connected: (omega == r) & connected)
+                        keep=lambda omega, connected: (omega == r) & connected,
+                        screen=lambda lap: ~_exceeds(lap, settled))
     return _extremal_scan(
-        table, r, "min", bound=bound, beyond=table.alpha < bound - tol,
-        target=target, achieves=lambda g: is_isomorphic(g, target),
+        table, r, "min", bound=bound, beyond=lambda alpha: alpha < bound - tol,
+        settled=settled, target=target, achieves=lambda g: is_isomorphic(g, target),
     )
 
 

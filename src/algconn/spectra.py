@@ -30,6 +30,8 @@ __all__ = [
     "EQUALITY_TOL",
     "STRICT_TOL",
     "MULTIPLICITY_TOL",
+    "SETTLE_MARGIN",
+    "PIVOT_TOL",
 ]
 
 # The package's tolerances, each defined once and imported where used.
@@ -45,6 +47,10 @@ EQUALITY_TOL = 1e-6
 STRICT_TOL = 1e-9
 #: Eigenvalues within this distance of alpha count toward its multiplicity.
 MULTIPLICITY_TOL = 1e-7
+#: How far above the kite's alpha a min-side screen settles a row unsolved.
+SETTLE_MARGIN = 1e-3
+#: Least pivot of a Cholesky elimination that certifies positive definiteness.
+PIVOT_TOL = 1e-9
 
 _SYMMETRY_TOL = 1e-12
 

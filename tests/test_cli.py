@@ -3,6 +3,7 @@
 import csv
 import io
 import json
+import os
 import shlex
 import subprocess
 import sys
@@ -521,6 +522,25 @@ class TestEntryPoint:
             text=True,
         )
         assert proc.returncode == 2
+
+    @staticmethod
+    def _fresh_import(**env):
+        """Print `algconn` imported in a fresh interpreter: its thread count and BLAS setting."""
+        environ = {k: v for k, v in os.environ.items() if k != "OPENBLAS_NUM_THREADS"}
+        proc = subprocess.run(
+            [sys.executable, "-c", "import os, algconn; "
+             "print(len(os.listdir('/proc/self/task')), os.environ['OPENBLAS_NUM_THREADS'])"],
+            capture_output=True, text=True, env={**environ, **env}, check=True,
+        )
+        return proc.stdout.split()
+
+    @pytest.mark.skipif(not os.path.isdir("/proc/self/task"), reason="needs Linux /proc")
+    def test_import_starts_no_blas_threads(self):
+        assert self._fresh_import() == ["1", "1"]
+
+    @pytest.mark.skipif(not os.path.isdir("/proc/self/task"), reason="needs Linux /proc")
+    def test_callers_blas_thread_count_is_kept(self):
+        assert self._fresh_import(OPENBLAS_NUM_THREADS="2")[1] == "2"
 
     def test_help_exits_zero(self, capsys):
         code, out, _ = run_cli(capsys, "--help")

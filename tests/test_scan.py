@@ -41,6 +41,7 @@ from algconn.scan import (
 from algconn.spectra import (
     BOUND_TOL,
     EQUALITY_TOL,
+    SETTLE_MARGIN,
     STRICT_TOL,
     algebraic_connectivity,
     laplacians,
@@ -99,6 +100,11 @@ class TestGraphTable:
         columns = (table.omega, table.alpha, table.connected, table.codes)
         assert [(len(c), c.dtype) for c in columns] == [
             (0, np.uint8), (0, np.float64), (0, np.bool_), (0, np.int64)]
+
+    def test_unfiltered_table_holds_its_codes_and_weights_as_given(self):
+        codes, weights = scan_mod._classes(5)
+        table = scan_mod._table(5, codes, weights, jobs=1)
+        assert table.codes is codes and table.weights is weights
 
     def test_labeled_table_is_cached_until_cleared(self):
         table = build_graph_table(4)
@@ -195,32 +201,50 @@ class TestGraphTable:
         assert verify(n, r, jobs=1, corpus=corpus).ok
         return np.concatenate(solved), keep
 
+    @staticmethod
+    def _unsettled(mode, n, r, codes):
+        """The eligible connected codes a scan's screen sends to the eigensolve, found
+        without the screen: minimum degree at least the Turan bound on the max side,
+        alpha at most the kite's plus SETTLE_MARGIN on the min side."""
+        if mode == "max":
+            return codes[adjacency(n, codes).sum(axis=2).min(axis=1) >= n - -(n // -r)]
+        settled = algebraic_connectivity(kite(n, r)) + SETTLE_MARGIN
+        alpha = scan_mod._table(n, codes).alpha  # no screen: every row solved
+        assert not np.any(np.abs(alpha - settled) < 1e-6)  # no row on the screen's edge
+        return codes[alpha <= settled]
+
     @pytest.mark.parametrize("mode", ["max", "min"])
     def test_only_kept_connected_rows_are_eigensolved(self, monkeypatch, mode):
         # A labeled order-6 corpus: the batched eigensolves see exactly the
-        # eligible connected codes, in order, and nothing after them, since
-        # the achievers' alphas are read from the table's own rows.
+        # eligible connected codes the screen cannot settle, in order, and
+        # nothing after them, since the achievers' alphas are read from the
+        # table's own rows and the settled rows stay unsolved.
         n, r = 6, 3
         labeled = build_graph_table(n)
         solved, keep = self._eigensolved(monkeypatch, mode, n, r,
                                          corpus=[(n, code) for code in range(labeled.size)])
         table_codes = labeled.codes[keep(labeled.omega, labeled.connected) & labeled.connected]
+        unsettled = self._unsettled(mode, n, r, table_codes)
         assert len(table_codes) < labeled.size
-        assert solved.tobytes() == laplacians(adjacency(n, table_codes)).tobytes()
+        assert 0 < len(unsettled) < len(table_codes) / 10
+        assert solved.tobytes() == laplacians(adjacency(n, unsettled)).tobytes()
 
     @pytest.mark.parametrize("mode", ["max", "min"])
     def test_class_rows_then_achiever_labelings_are_eigensolved(self, monkeypatch, mode):
-        # The class route: the eligible connected class rows, in order, then
-        # every labeling of the achiever class, since each row stands for many.
+        # The class route: the eligible connected class rows the screen cannot
+        # settle, in order, then every labeling of the achiever class, since
+        # each row stands for many.
         n, r = 6, 3
         solved, keep = self._eigensolved(monkeypatch, mode, n, r)
         codes, _ = scan_mod._classes(n)
         omega, connected = scan_mod._clique_kernel(n, codes)
         class_codes = codes[keep(omega, connected) & connected]
+        unsettled = self._unsettled(mode, n, r, class_codes)
         target = turan(n, r) if mode == "max" else kite(n, r)
         achievers = scan_mod._labelings(n, encode(target))
         assert len(class_codes) < len(codes)
-        expected = np.concatenate([class_codes, achievers])
+        assert 0 < len(unsettled) < len(class_codes)
+        expected = np.concatenate([unsettled, achievers])
         assert solved.tobytes() == laplacians(adjacency(n, expected)).tobytes()
 
     @staticmethod
@@ -319,6 +343,77 @@ class TestCliqueKernel:
             ragged = scan_mod._table(9, codes, jobs=jobs)
             assert ragged.omega.tobytes() == whole.omega.tobytes()
             assert ragged.connected.tobytes() == whole.connected.tobytes()
+
+
+class TestScreens:
+    """The eigensolve screens settle rows without changing any certificate."""
+
+    @staticmethod
+    def _unscreened(monkeypatch):
+        """Make every table eigensolve all its kept connected rows, as with no screen."""
+        real = scan_mod._alpha_kernel
+        monkeypatch.setattr(scan_mod, "_alpha_kernel", lambda n, codes, screen=None: real(n, codes))
+
+    @staticmethod
+    def _cases(n):
+        return [(verify_max_theorem, r) for r in range(2, n)] + [
+            (verify_min_theorem, r) for r in range(2, n + 1)]
+
+    @pytest.mark.parametrize("n", range(4, 10))
+    def test_random_corpora_certificates_match_the_unscreened_ones(self, monkeypatch, n):
+        # Random codes alone, where the fallback runs, and with every Turan
+        # graph and kite of the order planted, where the screens settle rows.
+        codes = _kernel_codes(n)[:-5]
+        planted = [encode(turan(n, r)) for r in range(2, n)] + [
+            encode(kite(n, r)) for r in range(2, n + 1)]
+        corpora = [codes, np.concatenate([codes, planted])]
+        fallbacks = []
+        real = scan_mod._alphas
+        monkeypatch.setattr(scan_mod, "_alphas",
+                            lambda n, codes: fallbacks.append(len(codes)) or real(n, codes))
+        screened = [verify(n, r, corpus=[(n, corpus)]).to_json()
+                    for corpus in corpora for verify, r in self._cases(n)]
+        # Orders 4 and 5 hold nearly every code, so no scan falls back there.
+        assert (fallbacks or n < 6) and len(fallbacks) < len(screened)
+        self._unscreened(monkeypatch)
+        assert screened == [verify(n, r, corpus=[(n, corpus)]).to_json()
+                            for corpus in corpora for verify, r in self._cases(n)]
+
+    # At -0.05 the min side's settled value is itself beyond the bound, so
+    # the scan must eigensolve the rows the screen settled.
+    @pytest.mark.parametrize("tol", [BOUND_TOL, 1e-15, -1e-3, -0.05])
+    def test_class_route_certificates_match_the_unscreened_ones(self, monkeypatch, tol):
+        cases = [(n, verify, r) for n in range(3, 8) for verify, r in self._cases(n)]
+        screened = [verify(n, r, tol=tol).to_json() for n, verify, r in cases]
+        self._unscreened(monkeypatch)
+        assert screened == [verify(n, r, tol=tol).to_json() for n, verify, r in cases]
+
+    def test_all_screened_corpus_falls_back_without_a_warning(self, monkeypatch, capsys,
+                                                              tmp_path):
+        # CF is the star K_{1,3}: minimum degree 1, below the order-4 bipartite
+        # bound of 2, so the one row is screened and no solved row is left.
+        corpus = tmp_path / "star.g6"
+        corpus.write_text("CF\n")
+        argv = ["--format", "json", "scan", "max", "4", "2", "--corpus", str(corpus)]
+        assert cli.main(argv) == 1
+        screened = capsys.readouterr().out
+        assert json.loads(screened)["achieved"] == pytest.approx(1.0)
+        self._unscreened(monkeypatch)
+        assert cli.main(argv) == 1
+        assert capsys.readouterr().out == screened
+
+    def test_exceeds_certifies_exactly_the_rows_above_the_floor(self):
+        codes = np.arange(1 << 15, dtype=np.int64)
+        connected = scan_mod._clique_kernel(6, codes)[1]
+        lap = laplacians(adjacency(6, codes[connected]))
+        alpha = np.linalg.eigvalsh(lap)[:, 1]
+        # At an integer floor some rows have alpha equal to it, and
+        # L + J - floor*I is singular: those must not be certified.
+        for floor in (0.5, 1.0, 1.001, 2.0, 2.5, 4.0, 5.999, 6.0, 6.5):
+            certified = scan_mod._exceeds(lap, floor)
+            on = np.abs(alpha - floor) <= 1e-9
+            assert on.any() == (floor % 1 == 0) and not certified[on].any()
+            assert np.array_equal(certified[~on], alpha[~on] > floor)
 
 
 class TestClassTable:
@@ -625,9 +720,10 @@ class TestMinTheorem:
 
         monkeypatch.setattr(scan_mod.GraphTable, "labeled", spy)
         target = kite(n, r)
+        bound = scan_mod.algebraic_connectivity(target)
         cert = scan_mod._extremal_scan(
-            table, r, "min", bound=scan_mod.algebraic_connectivity(target),
-            beyond=np.ones(table.size, bool), target=target,
+            table, r, "min", bound=bound, beyond=lambda alpha: np.ones(np.shape(alpha), bool),
+            settled=bound + SETTLE_MARGIN, target=target,
             achieves=lambda g: is_isomorphic(g, target),
         )
         labeled = build_graph_table(n)
@@ -679,6 +775,45 @@ class TestSeededDefects:
         monkeypatch.setattr(scan_mod, f"verify_{mode}_theorem",
                             lambda *args, **kw: verify(*args, **{**kw, "tol": -1e-3}))
         assert cli.main(["scan", mode, "6", "3"]) == 1
+
+    def test_min_screen_that_hides_the_kite_falls_back(self, monkeypatch, capsys):
+        # The screen certifies alpha > bound - 1e-3 while the scan trusts
+        # bound + 1e-3, so the kite goes unsolved.  No other class lies within
+        # 1e-3 of the kite (the next is 0.043 above it at n = 7, 0.088 at n =
+        # 6), so no row is left solved and every row is eigensolved: the
+        # certificates are the golden ones.
+        from pathlib import Path
+
+        real_exceeds, real_alphas, fallbacks = scan_mod._exceeds, scan_mod._alphas, []
+        monkeypatch.setattr(scan_mod, "_exceeds",
+                            lambda lap, floor: real_exceeds(lap, floor - 2 * SETTLE_MARGIN))
+        monkeypatch.setattr(scan_mod, "_alphas",
+                            lambda n, codes: fallbacks.append(len(codes)) or real_alphas(n, codes))
+        golden = Path(__file__).parent / "golden"
+        assert cli.main(["--format", "json", "scan", "min", "7", "3"]) == 0
+        assert capsys.readouterr().out.encode() == (golden / "min_7_3.json").read_bytes()
+        eligible = scan_mod._table(7, *scan_mod._classes(7),
+                                   keep=lambda omega, connected: (omega == 3) & connected)
+        assert fallbacks[0] == eligible.size
+        cert = verify_min_theorem(6, 3, corpus=[(6, np.arange(1 << 15, dtype=np.int64))])
+        cert.source = "enumeration"
+        assert (cert.to_json() + "\n").encode() == (golden / "min_6_3.json").read_bytes()
+
+    def test_off_by_one_max_screen_falls_back_to_the_full_solve(self, monkeypatch, capsys):
+        # Solving only minimum degree >= bound + 1 leaves T_{7,3} unsolved; no
+        # K_4-free graph has a larger minimum degree, so every row is screened
+        # and the scan eigensolves them all.
+        from pathlib import Path
+
+        real_degree, real_alphas, fallbacks = scan_mod._min_degree, scan_mod._alphas, []
+        monkeypatch.setattr(scan_mod, "_min_degree", lambda lap: real_degree(lap) - 1)
+        monkeypatch.setattr(scan_mod, "_alphas",
+                            lambda n, codes: fallbacks.append(len(codes)) or real_alphas(n, codes))
+        assert cli.main(["--format", "json", "scan", "max", "7", "3"]) == 0
+        golden = Path(__file__).parent / "golden" / "max_7_3.json"
+        assert capsys.readouterr().out.encode() == golden.read_bytes()
+        eligible = scan_mod._table(7, *scan_mod._classes(7), keep=lambda omega, connected: omega <= 3)
+        assert fallbacks[0] == int(eligible.connected.sum())
 
     def test_supersaturation_demanding_larger_parts(self):
         # K_{3,3} in place of K_{2,2}: n = kr = 6, so each violation comes

@@ -15,14 +15,11 @@ for stdin (one graph per line, batching allowed), or "@path" for a file.
 from __future__ import annotations
 
 import argparse
-import csv
 import json
 import sys
 from dataclasses import asdict
 
-from . import bounds as bounds_mod
 from . import scan as scan_mod
-from . import transforms as transforms_mod
 from .cliques import max_clique
 from .errors import CounterexampleError, Graph6Error, NumericalError
 from .graph6 import parse_graph6, read_code_blocks, read_corpus, write_graph6
@@ -69,7 +66,10 @@ def _input_graphs(args):
 
 def _emit(reports, fmt: str) -> None:
     """Print each report dict; csv prints a header only where the columns change."""
-    header, writer = None, csv.writer(sys.stdout, lineterminator="\n")
+    if fmt == "csv":
+        import csv  # only csv output needs it
+
+        header, writer = None, csv.writer(sys.stdout, lineterminator="\n")
     for report in reports:
         if fmt == "json":
             print(json.dumps(report))
@@ -134,7 +134,9 @@ def _spectrum_report(g, tol: float) -> dict:
 
 
 def _bounds_report(g, tol: float) -> dict:
-    return bounds_mod.sandwich_report(g, tol).to_dict()
+    from .bounds import sandwich_report  # bounds and transforms load only where used
+
+    return sandwich_report(g, tol).to_dict()
 
 
 def _clique_report(g, tol: float) -> dict:
@@ -149,13 +151,17 @@ def cmd_graphs(args) -> int:
 
 
 def cmd_chain(args) -> int:
-    rows = transforms_mod.kite_minimality_chain(args.r, args.n)
+    from .transforms import kite_minimality_chain
+
+    rows = kite_minimality_chain(args.r, args.n)
     _emit(({"r": args.r, "k": k, "l": l, "alpha": alpha} for k, l, alpha in rows), args.format)
     return 0
 
 
 def cmd_theta(args) -> int:
-    alpha_theta, alpha_kite = transforms_mod.theta_vs_kite(args.r, args.k)
+    from .transforms import theta_vs_kite
+
+    alpha_theta, alpha_kite = theta_vs_kite(args.r, args.k)
     _emit(
         [{"r": args.r, "k": args.k, "alpha_theta": alpha_theta, "alpha_kite": alpha_kite}],
         args.format,
@@ -164,14 +170,18 @@ def cmd_theta(args) -> int:
 
 
 def cmd_sign(args) -> int:
-    report = asdict(transforms_mod.fiedler_sign_report(TailedCliqueSpec(args.r, args.k, args.l)))
+    from .transforms import fiedler_sign_report
+
+    report = asdict(fiedler_sign_report(TailedCliqueSpec(args.r, args.k, args.l)))
     spec = report.pop("spec")
     _emit([{**spec, **report}], args.format)
     return 0
 
 
 def cmd_sweep(args) -> int:
-    rows = transforms_mod.tailed_clique_sweep(max_total=args.max_total)
+    from .transforms import tailed_clique_sweep
+
+    rows = tailed_clique_sweep(max_total=args.max_total)
     _emit(({"r": r, "k": k, "l": l, "alpha": alpha} for r, k, l, alpha in rows), args.format)
     return 0
 

@@ -13,12 +13,17 @@ vertices adds its size to one lookup, and connectivity sweeps the columns.
 The extremal scans keep only the graphs their theorem covers (omega <= r on
 the max side, omega == r and connected on the min side), so every row of
 their GraphTable is eligible and no other graph is eigensolved.  Of those,
-a screen on the chunk's Laplacians picks the rows a verdict can depend on:
-on the max side those of minimum degree at least the Turan bound (alpha <=
-minimum degree on a non-complete graph, Fiedler 1973), on the min side
-those a Cholesky elimination cannot certify above the kite's alpha plus
-SETTLE_MARGIN.  The other rows hold alpha NaN; _extremal_scan settles them
-unsolved when no verdict can depend on them and eigensolves them otherwise.
+a screen that reads the kept rows' code bits picks the rows a verdict can
+depend on: on the max side those of minimum degree at least the Turan bound
+(alpha <= minimum degree on a non-complete graph, Fiedler 1973), on the min
+side those a Cholesky elimination cannot certify above the kite's alpha
+plus SETTLE_MARGIN.  Only the picked rows' Laplacians are assembled.  The
+other rows hold alpha NaN; _extremal_scan settles them unsolved when no
+verdict can depend on them and eigensolves them otherwise, on the table's
+thread count.  A chunk is 16,384 codes: the Python steps between NumPy's
+loops hold the GIL, and at that width they are a small share of a chunk,
+so pool threads overlap.  The kernel's columns and masks are uint16, which
+keeps such a chunk to about 1.5 MB at order 8.
 
 The max/min scans by enumeration and the supersaturation check run over
 isomorphism classes instead: the omega, alpha and connectivity of a graph do
@@ -54,7 +59,6 @@ import json
 import os
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import asdict, dataclass
-from fractions import Fraction
 from itertools import combinations, permutations
 
 import numpy as np
@@ -101,8 +105,13 @@ __all__ = [
 
 DEFAULT_GUARD = 7
 
-#: Codes per kernel call; each thread's chunk holds a (_CHUNK, n, n) Laplacian batch.
-_CHUNK = 1 << 12
+#: Codes per table chunk: wide enough that each NumPy call outweighs its
+#: Python step (which holds the GIL), narrow enough that an order-8 corpus
+#: table on two threads holds a few MB (tests/test_scan.py::TestWorkingSet).
+_CHUNK = 1 << 14
+#: Codes per eigensolve call where every code is solved (a screen's fallback,
+#: a class's achiever labelings): a (_SOLVE_CHUNK, n, n) Laplacian batch.
+_SOLVE_CHUNK = 1 << 12
 #: Most violating labelings a supersaturation report lists; each is one graph6 string.
 _MAX_VIOLATIONS = 1 << 20
 
@@ -179,14 +188,16 @@ def _clique_kernel(n: int, codes: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """
     m, a = len(codes), n // 2
     low = (1 << a) - 1
-    cols = [codes >> (v * (v - 1) // 2) & ((1 << v) - 1) for v in range(n)]
+    # Up to order 11 every column, mask and reach set is below 2^11 and every
+    # lookup index below 2^15, so all of them are held as uint16.
+    cols = [(codes >> (v * (v - 1) // 2) & ((1 << v) - 1)).astype(np.uint16) for v in range(n)]
 
     lookup = _clique_table(a).ravel()  # T_a[c, M] at c << a | M
-    base = (codes & ((1 << (a * (a - 1) // 2)) - 1)) << a
+    base = (codes & ((1 << (a * (a - 1) // 2)) - 1)).astype(np.uint16) << a
     omega = lookup[base | low]
     a_nbrs = [col & low for col in cols[a:]]
     b_nbrs = [col >> a for col in cols[a:]]  # bit i: vertex a + i
-    clique, common = [np.ones(m, bool)], [np.full(m, low, np.int64)]
+    clique, common = [np.ones(m, bool)], [np.full(m, low, np.uint16)]
     for s in range(1, 1 << (n - a)):
         t = s.bit_length() - 1
         rest = s ^ (1 << t)
@@ -194,11 +205,11 @@ def _clique_kernel(n: int, codes: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         common.append(common[rest] & a_nbrs[t])
         np.maximum(omega, (lookup[base | common[s]] + s.bit_count()) * clique[s], out=omega)
 
-    reach, before = np.ones(m, np.int64), None
+    reach, before = np.ones(m, np.uint16), None
     while not np.array_equal(reach, before):
         before = reach.copy()
         for v in range(1, n):
-            reach |= ((cols[v] & reach) != 0).astype(np.int64) << v
+            reach |= ((cols[v] & reach) != 0).astype(np.uint16) << v
         for v in range(n - 1, 0, -1):
             reach |= cols[v] * (reach >> v & 1)
     return omega, reach == (1 << n) - 1
@@ -207,44 +218,87 @@ def _clique_kernel(n: int, codes: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
 def _alpha_kernel(n: int, codes: np.ndarray, screen=None) -> np.ndarray:
     """Second-smallest Laplacian eigenvalue of each code, from one eigensolve of spectra.laplacians.
 
-    `screen` maps the (m, n, n) Laplacian stack to the rows to eigensolve
-    (None: every row); the others hold NaN.
+    `screen` maps the code array to a boolean mask of the rows to eigensolve
+    (None: every row); the others hold NaN.  Only those rows' Laplacians are
+    assembled for the eigensolve.
     """
-    lap = laplacians(adjacency(n, codes))
-    rows = slice(None) if screen is None else screen(lap)
+    rows = slice(None) if screen is None else screen(codes)
     alpha = np.full(len(codes), np.nan)
-    alpha[rows] = np.linalg.eigvalsh(lap[rows])[:, 1]
+    alpha[rows] = np.linalg.eigvalsh(laplacians(adjacency(n, codes[rows])))[:, 1]
     return alpha
 
 
-def _alphas(n: int, codes: np.ndarray) -> np.ndarray:
-    """_alpha_kernel over a nonempty code array, _CHUNK codes at a time."""
-    return np.concatenate([_alpha_kernel(n, codes[start:start + _CHUNK])
-                           for start in range(0, len(codes), _CHUNK)])
+def _pooled(solve, starts: range, jobs: int | None) -> list:
+    """solve(start) for each chunk start, in order, on one thread pool.
+
+    The pool has at most `jobs` threads (None: one per CPU the process may
+    run on) and at most one per chunk.
+    """
+    if jobs is None:
+        jobs = (len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity")
+                else os.cpu_count() or 1)
+    with ThreadPoolExecutor(max_workers=max(min(jobs, len(starts)), 1)) as pool:
+        return list(pool.map(solve, starts))
 
 
-def _min_degree(lap: np.ndarray) -> np.ndarray:
-    """Minimum degree of each Laplacian in a stack, read off its diagonal."""
-    return lap.diagonal(axis1=1, axis2=2).min(axis=1)
+def _alphas(n: int, codes: np.ndarray, jobs: int | None = 1) -> np.ndarray:
+    """_alpha_kernel over a nonempty code array, _SOLVE_CHUNK codes at a time.
+
+    At jobs=1 the chunks are solved on the calling thread, otherwise on
+    _pooled's pool of up to `jobs` threads.
+    """
+    def solve(start: int) -> np.ndarray:
+        return _alpha_kernel(n, codes[start:start + _SOLVE_CHUNK])
+
+    starts = range(0, len(codes), _SOLVE_CHUNK)
+    return np.concatenate([solve(start) for start in starts] if jobs == 1
+                          else _pooled(solve, starts, jobs))
 
 
-def _exceeds(lap: np.ndarray, floor: float) -> np.ndarray:
-    """Rows of a Laplacian stack whose alpha provably exceeds floor.
+def _code_bits(n: int, codes: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """(ends, bits, degrees) of an array of m order-n codes, one code per last-axis entry.
+
+    ends[b] is the vertex pair of code bit b (graphs.pairs order), bits[b]
+    that bit of every code as 0.0 or 1.0, shape (C(n,2), m), and degrees[v]
+    vertex v's degree in every code, shape (n, m): one product of the bits
+    with the pair-vertex incidence matrix.  The codes run along the last,
+    contiguous axis, so every later step is one long NumPy loop.
+    """
+    ends = np.array(pairs(n), np.intp).reshape(-1, 2)
+    bits = (codes >> np.arange(len(ends))[:, None] & 1).astype(np.float64)
+    incidence = np.zeros((n, len(ends)))
+    incidence[ends, np.arange(len(ends))[:, None]] = 1
+    return ends, bits, incidence @ bits
+
+
+def _min_degree(n: int, codes: np.ndarray) -> np.ndarray:
+    """Minimum degree of each order-n code, counted from its bits."""
+    return _code_bits(n, codes)[2].min(axis=0)
+
+
+def _exceeds(n: int, codes: np.ndarray, floor: float) -> np.ndarray:
+    """Which order-n codes have an alpha that provably exceeds floor.
 
     L + J has L's eigenvalues with the 0 of the all-ones vector raised to n,
     and alpha <= n, so L + J - floor*I is positive definite iff alpha > floor.
-    A Cholesky elimination runs over the whole stack, n steps, and certifies
-    each row whose pivots all stay above PIVOT_TOL; a failed row's later
-    steps update nothing.
+    That matrix is built from the code bits as one float64 stack with the
+    codes on its last axis (1 - a_uv off the diagonal, the degree plus
+    1 - floor on it), and a Cholesky elimination runs over the stack in
+    place, n steps of row updates.  It certifies each code whose pivots all
+    stay above PIVOT_TOL; a failed code's later steps update nothing.
     """
-    n = lap.shape[-1]
-    m = lap + (1 - floor * np.eye(n))
-    ok = np.ones(len(m), bool)
+    ends, bits, degrees = _code_bits(n, codes)
+    (i, j), diag = ends.T, np.arange(n)
+    mat = np.empty((n, n, len(codes)))
+    mat[i, j] = mat[j, i] = np.subtract(1, bits, out=bits)
+    mat[diag, diag] = degrees + (1 - floor)
+    ok = np.ones(len(codes), bool)
     for k in range(n):
-        pivot = m[:, k, k]
+        pivot = mat[k, k]
         ok &= pivot > PIVOT_TOL
-        col = m[:, k + 1:, k] * (ok / np.where(ok, pivot, 1))[:, None]
-        m[:, k + 1:, k + 1:] -= col[:, :, None] * m[:, None, k, k + 1:]
+        col = mat[k + 1:, k] * (ok / np.where(ok, pivot, 1))
+        for row, scale in enumerate(col, k + 1):  # row by row: no (n-k-1)^2-entry temporary
+            mat[row, k + 1:] -= scale * mat[k, k + 1:]
     return ok
 
 
@@ -252,16 +306,17 @@ def _table(n: int, codes: np.ndarray, weights: np.ndarray | None = None,
            jobs: int | None = None, keep=None, screen=None) -> GraphTable:
     """The invariant table over a code array, its rows in the array's order.
 
-    One pass maps contiguous chunks of the codes on one thread pool of at
-    most `jobs` threads (None: one per CPU the process may run on; the
+    One pass maps contiguous chunks of _CHUNK codes on _pooled's thread pool
+    of at most `jobs` threads (None: one per CPU the process may run on; the
     eigenvalue kernel releases the GIL).  Each chunk computes its codes'
     omega and connectivity, keeps the rows `keep` picks (a function of those
     two columns returning a boolean row mask; None keeps every row and the
     table holds `codes` and `weights` as given) and eigensolves its kept
     connected rows: alpha is exactly 0.0 on the others.  `screen` is
-    _alpha_kernel's, applied to those rows' Laplacians: a kept connected row
-    it leaves out holds alpha NaN.  The chunks' rows are joined in order, so
-    the table is identical regardless of jobs.
+    _alpha_kernel's, applied to those rows' codes: a kept connected row it
+    leaves out holds alpha NaN, and no Laplacian is assembled for it.  The
+    chunks' rows are joined in order, so the table is identical regardless
+    of jobs.
     """
     def solve(start: int):
         chunk = codes[start:start + _CHUNK]
@@ -272,12 +327,7 @@ def _table(n: int, codes: np.ndarray, weights: np.ndarray | None = None,
         alpha[connected] = _alpha_kernel(n, chunk[kept][connected], screen)
         return kept, omega, alpha, connected
 
-    starts = range(0, len(codes), _CHUNK)
-    if jobs is None:
-        jobs = (len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity")
-                else os.cpu_count() or 1)
-    with ThreadPoolExecutor(max_workers=max(min(jobs, len(starts)), 1)) as pool:
-        parts = list(pool.map(solve, starts))
+    parts = _pooled(solve, range(0, len(codes), _CHUNK), jobs)
     empty = (np.zeros(0, bool), np.zeros(0, np.uint8), np.zeros(0), np.zeros(0, bool))
     kept, omega, alpha, connected = (np.concatenate(column) for column in zip(empty, *parts))
     if keep is not None:
@@ -285,9 +335,16 @@ def _table(n: int, codes: np.ndarray, weights: np.ndarray | None = None,
     return GraphTable(n, omega, alpha, connected, codes, weights)
 
 
-@functools.cache
+#: The labeled tables build_graph_table has built, by order.
+_labeled_tables: dict[int, GraphTable] = {}
+
+
 def build_graph_table(n: int, jobs: int | None = None) -> GraphTable:
-    """Compute (or fetch from cache) the table of every labeled code of order n."""
+    """Compute (or fetch from cache) the table of every labeled code of order n.
+
+    The cache is keyed on n alone: `jobs` sets the threads of a build and
+    changes no row.
+    """
     if n < 2:
         raise ValueError(f"table needs order >= 2, got {n}")
     if n > 7:
@@ -295,10 +352,13 @@ def build_graph_table(n: int, jobs: int | None = None) -> GraphTable:
             f"full table for order {n} would hold 2^{n * (n - 1) // 2} codes; "
             "use corpus mode beyond order 7"
         )
-    return _table(n, np.arange(1 << (n * (n - 1) // 2), dtype=np.int64), jobs=jobs)
+    if n not in _labeled_tables:
+        _labeled_tables[n] = _table(n, np.arange(1 << (n * (n - 1) // 2), dtype=np.int64),
+                                    jobs=jobs)
+    return _labeled_tables[n]
 
 
-clear_table_cache = build_graph_table.cache_clear
+clear_table_cache = _labeled_tables.clear
 
 
 @functools.cache
@@ -452,7 +512,7 @@ def _counterexample(g: Graph, reason: str) -> dict:
 
 def _extremal_scan(
     table: GraphTable, r: int, mode: str, *, bound: float, beyond, settled: float,
-    target: Graph, achieves,
+    target: Graph, achieves, jobs: int | None = None,
 ) -> ExtremalCertificate:
     """Certificate for one side of an extremal statement over a graph table.
 
@@ -462,17 +522,18 @@ def _extremal_scan(
     isomorphism, must pass `achieves`.  `achieved` is the extremum over every
     labeling of the achievers (rows within EQUALITY_TOL of the extremum): a
     labeled table's rows are those labelings, and a class table's are
-    eigensolved directly, _CHUNK codes at a time.  That is exact because
-    every achiever is connected: the min side keeps only connected rows, and
-    on the max side the class table holds T_{n,r}, whose alpha is at least 1,
-    so every row within EQUALITY_TOL of the extremum has alpha > 0.
+    eigensolved directly, on the calling thread.  That is exact because every
+    achiever is connected: the min side keeps only connected rows, and on the
+    max side the class table holds T_{n,r}, whose alpha is at least 1, so
+    every row within EQUALITY_TOL of the extremum has alpha > 0.
 
     A row the table's screen left unsolved (alpha NaN) has alpha at most
     `settled` on the max side and above it on the min side.  Settle or
     solve: if settled lies more than EQUALITY_TOL inside the extremum of the
     solved rows and is not beyond, no unsolved row can be an achiever or a
     counterexample, and settled stands in for each of them.  Otherwise, as
-    when every row was screened, the unsolved rows are eigensolved.
+    when every row was screened, the unsolved rows are eigensolved, on up to
+    `jobs` threads as the table was.
     """
     if not table.size:
         raise ValueError("corpus contained no eligible graphs")
@@ -486,7 +547,7 @@ def _extremal_scan(
             alpha = np.where(unsolved, settled, alpha)
         else:
             alpha = alpha.copy()
-            alpha[unsolved] = _alphas(table.n, table.codes[unsolved])
+            alpha[unsolved] = _alphas(table.n, table.codes[unsolved], jobs)
     extremum = alpha.max() if mode == "max" else alpha.min()
     hits = np.nonzero(np.abs(alpha - extremum) <= EQUALITY_TOL)[0]
     exact = alpha[hits] if table.weights is None else _alphas(table.n, table.labeled(hits))
@@ -547,10 +608,10 @@ def verify_max_theorem(
     # omega <= r < n also excludes the complete graph, so Fiedler's alpha <=
     # minimum degree holds on every row: below the integer bound, alpha <= bound - 1.
     table = _scan_input(n, guard, jobs, corpus, keep=lambda omega, connected: omega <= r,
-                        screen=lambda lap: _min_degree(lap) >= bound)
+                        screen=lambda codes: _min_degree(n, codes) >= bound)
     return _extremal_scan(
         table, r, "max", bound=bound, beyond=lambda alpha: alpha > bound + tol,
-        settled=bound - 1, target=target, achieves=achieves,
+        settled=bound - 1, target=target, achieves=achieves, jobs=jobs,
     )
 
 
@@ -578,10 +639,10 @@ def verify_min_theorem(
     settled = bound + SETTLE_MARGIN
     table = _scan_input(n, guard, jobs, corpus,
                         keep=lambda omega, connected: (omega == r) & connected,
-                        screen=lambda lap: ~_exceeds(lap, settled))
+                        screen=lambda codes: ~_exceeds(n, codes, settled))
     return _extremal_scan(
         table, r, "min", bound=bound, beyond=lambda alpha: alpha < bound - tol,
-        settled=settled, target=target, achieves=lambda g: is_isomorphic(g, target),
+        settled=settled, target=target, achieves=lambda g: is_isomorphic(g, target), jobs=jobs,
     )
 
 
@@ -618,6 +679,8 @@ def erdos_stone_trend(r: int, n_max: int) -> list[tuple[int, Fraction]]:
     Each ratio is (n - ceil(n/r))/n as a Fraction; it equals 1 - 1/r exactly
     when r divides n and deviates by (r - n mod r)/(rn) < 1/n otherwise.
     """
+    from fractions import Fraction  # only the trend needs it; a scan command skips the import
+
     if r < 2:
         raise ValueError(f"need r >= 2, got {r}")
     if n_max < r:

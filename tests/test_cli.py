@@ -542,6 +542,64 @@ class TestEntryPoint:
     def test_callers_blas_thread_count_is_kept(self):
         assert self._fresh_import(OPENBLAS_NUM_THREADS="2")[1] == "2"
 
+    #: The names `import algconn` has always exported; those of bounds and
+    #: transforms now load on first use.
+    PUBLIC = (
+        "BoundsReport", "CliqueWitness", "CompleteGraphError", "CounterexampleError",
+        "DisconnectedGraphError", "ExtremalCertificate", "FiedlerSignReport", "FiedlerVector",
+        "Graph", "Graph6Error", "NumericalError", "Spectrum", "SupersaturationReport", "TailSpec",
+        "TailedCliqueSpec", "algebraic_connectivity", "attach_path", "build_graph_table",
+        "check_graft_inequality", "check_join_characterization", "check_slide_inequality",
+        "clique_lower_bound", "clique_upper_bound", "complement", "complement_alpha_check",
+        "complete", "complete_multipartite", "contains_complete_multipartite", "cycle", "decode",
+        "degree_chain", "disjoint_union", "eig_sym", "empty", "encode", "erdos_stone_trend",
+        "fiedler_sign_report", "fiedler_vector", "graft_endpoints", "induced_subgraph",
+        "is_connected", "is_isomorphic", "is_kr_free", "join", "kite", "kite_alpha_floor",
+        "kite_minimality_chain", "lambda_max", "laplacian", "max_clique", "parse_graph6", "path",
+        "read_corpus", "relabel", "sandwich_report", "slide_tail", "star",
+        "switch_clique_attachment", "tailed_clique", "tailed_clique_sweep", "theta_kite",
+        "theta_vs_kite", "turan", "turan_edge_count", "verify_max_theorem", "verify_min_theorem",
+        "verify_supersaturation", "vertex_connectivity", "write_graph6",
+    )
+
+    @staticmethod
+    def _probe(code: str) -> list[str]:
+        proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                              check=True)
+        return proc.stdout.split()
+
+    def test_cli_import_loads_only_the_scan_stack(self):
+        # A cold command compiles every module it imports: a scan needs neither
+        # the bounds nor the transforms module, nor fractions (only scan trend).
+        unloaded = ("algconn.bounds", "algconn.transforms", "fractions")
+        alone, *after = self._probe(
+            "import sys, numpy; alone = 'fractions' in sys.modules; import algconn.cli; "
+            f"print(alone, *(name in sys.modules for name in {unloaded!r}))")
+        if alone == "True":
+            pytest.skip("import numpy alone loads fractions")
+        assert after == ["False"] * len(unloaded)
+
+    def test_every_public_name_resolves_by_name_and_by_star(self):
+        by_name = self._probe(
+            "import algconn; "
+            f"names = {self.PUBLIC!r}; "
+            "ns = {}; [exec(f'from algconn import {name}', ns) for name in names]; "
+            "print(sum(name in ns and ns[name] is getattr(algconn, name) for name in names))")
+        assert by_name == [str(len(self.PUBLIC))]
+        by_star = self._probe(
+            "ns = {}; exec('from algconn import *', ns); "
+            "from algconn.bounds import sandwich_report; "
+            "from algconn.transforms import theta_vs_kite; "
+            f"print(sorted(set(ns) & set({self.PUBLIC!r})) == sorted({self.PUBLIC!r}), "
+            "ns['sandwich_report'] is sandwich_report, ns['theta_vs_kite'] is theta_vs_kite)")
+        assert by_star == ["True"] * 3
+
+    def test_unknown_name_is_an_attribute_error(self):
+        import algconn
+
+        with pytest.raises(AttributeError, match="no attribute 'no_such_name'"):
+            algconn.no_such_name
+
     def test_help_exits_zero(self, capsys):
         code, out, _ = run_cli(capsys, "--help")
         assert code == 0

@@ -114,6 +114,13 @@ class TestGraphTable:
         assert rebuilt is not table
         assert rebuilt.alpha.tobytes() == table.alpha.tobytes()
 
+    def test_labeled_table_is_cached_per_order_whatever_the_jobs(self):
+        # jobs changes no row, so one order holds one table, not one per jobs value.
+        scan_mod.clear_table_cache()
+        table = build_graph_table(4)
+        assert build_graph_table(4, jobs=1) is table
+        assert build_graph_table(4, jobs=None) is table and build_graph_table(4, jobs=3) is table
+
     def test_chunked_parallel_merge_is_deterministic(self, monkeypatch):
         # Within a route, jobs and chunk size leave every array unchanged.
         from algconn import scan
@@ -271,6 +278,23 @@ class TestGraphTable:
             assert verify_min_theorem(5, 3, jobs=jobs, corpus=corpus).ok
             assert sizes == [jobs]
 
+    def test_screen_fallback_solves_on_the_tables_threads(self, monkeypatch):
+        # No kite in the corpus and every kept row certified above it: no row
+        # is solved, so the scan eigensolves all of them, in chunks of 10 on a
+        # second pool of jobs threads, or on the calling thread at jobs=1.
+        labeled = build_graph_table(6)
+        floor = algebraic_connectivity(kite(6, 3)) + 2 * SETTLE_MARGIN
+        rows = (labeled.omega == 3) & labeled.connected & (labeled.alpha > floor)
+        corpus = [(6, labeled.codes[rows])]
+        sizes = self._pool_sizes(monkeypatch)
+        monkeypatch.setattr(scan_mod, "_SOLVE_CHUNK", 10)
+        certificates = []
+        for jobs in (1, 3):
+            sizes.clear()
+            certificates.append(verify_min_theorem(6, 3, jobs=jobs, corpus=corpus).to_json())
+            assert sizes == [jobs] * (1 if jobs == 1 else 2)
+        assert certificates[0] == certificates[1] and '"extremum-mismatch"' in certificates[0]
+
     def test_default_jobs_is_the_cpus_the_process_may_run_on(self, monkeypatch):
         # Where the platform has no affinity call, the machine's CPU count.
         sizes = self._pool_sizes(monkeypatch)
@@ -369,8 +393,8 @@ class TestScreens:
         corpora = [codes, np.concatenate([codes, planted])]
         fallbacks = []
         real = scan_mod._alphas
-        monkeypatch.setattr(scan_mod, "_alphas",
-                            lambda n, codes: fallbacks.append(len(codes)) or real(n, codes))
+        monkeypatch.setattr(scan_mod, "_alphas", lambda n, codes, jobs=1:
+                            fallbacks.append(len(codes)) or real(n, codes, jobs))
         screened = [verify(n, r, corpus=[(n, corpus)]).to_json()
                     for corpus in corpora for verify, r in self._cases(n)]
         # Orders 4 and 5 hold nearly every code, so no scan falls back there.
@@ -405,15 +429,67 @@ class TestScreens:
     def test_exceeds_certifies_exactly_the_rows_above_the_floor(self):
         codes = np.arange(1 << 15, dtype=np.int64)
         connected = scan_mod._clique_kernel(6, codes)[1]
-        lap = laplacians(adjacency(6, codes[connected]))
-        alpha = np.linalg.eigvalsh(lap)[:, 1]
+        alpha = np.linalg.eigvalsh(laplacians(adjacency(6, codes[connected])))[:, 1]
         # At an integer floor some rows have alpha equal to it, and
         # L + J - floor*I is singular: those must not be certified.
         for floor in (0.5, 1.0, 1.001, 2.0, 2.5, 4.0, 5.999, 6.0, 6.5):
-            certified = scan_mod._exceeds(lap, floor)
+            certified = scan_mod._exceeds(6, codes[connected], floor)
             on = np.abs(alpha - floor) <= 1e-9
             assert on.any() == (floor % 1 == 0) and not certified[on].any()
             assert np.array_equal(certified[~on], alpha[~on] > floor)
+
+
+class TestWorkingSet:
+    """Traced allocation bounds on a corpus table, so a chunk-size or dtype change
+    cannot quietly raise the memory of a corpus command.  Measured with two
+    threads over the 100,000 codes below: about 1.5 MB for one kernel chunk,
+    3.3 MB for the max side's table and 5.6 MB for the min side's; 65,536-code
+    chunks would take 6.0, 9.4 and 11.7 MB."""
+
+    @staticmethod
+    def _codes(m=100_000, n=8):
+        # Each code's edge density drawn from [0, 1], as a corpus's are.
+        rng = np.random.default_rng(8)
+        density = rng.random(m)
+        codes = np.zeros(m, np.int64)
+        for b in range(n * (n - 1) // 2):
+            codes |= (rng.random(m) < density).astype(np.int64) << b
+        return codes
+
+    @staticmethod
+    def _peak_mb(run) -> float:
+        import tracemalloc
+
+        tracemalloc.start()
+        try:
+            run()
+            return tracemalloc.get_traced_memory()[1] / 1e6
+        finally:
+            tracemalloc.stop()
+
+    def test_one_kernel_chunk(self):
+        codes = self._codes()[:scan_mod._CHUNK]
+        assert self._peak_mb(lambda: scan_mod._clique_kernel(8, codes)) < 2.5
+
+    def test_a_corpus_table_on_two_threads(self, monkeypatch):
+        codes = self._codes()
+        chunks = []
+        real = scan_mod._clique_kernel
+        monkeypatch.setattr(scan_mod, "_clique_kernel",
+                            lambda n, chunk: chunks.append(len(chunk)) or real(n, chunk))
+        settled = algebraic_connectivity(kite(8, 3)) + SETTLE_MARGIN
+        sides = [  # the keep and screen of verify_max_theorem and verify_min_theorem at (8, 3)
+            (lambda omega, connected: omega <= 3,
+             lambda chunk: scan_mod._min_degree(8, chunk) >= 5, 5.0),
+            (lambda omega, connected: (omega == 3) & connected,
+             lambda chunk: ~scan_mod._exceeds(8, chunk, settled), 8.0),
+        ]
+        for keep, screen, bound in sides:
+            chunks.clear()
+            peak = self._peak_mb(lambda: scan_mod._table(8, codes, jobs=2, keep=keep,
+                                                         screen=screen))
+            assert len(chunks) == 7 and sum(chunks) == len(codes)
+            assert peak < bound
 
 
 class TestClassTable:
@@ -785,10 +861,10 @@ class TestSeededDefects:
         from pathlib import Path
 
         real_exceeds, real_alphas, fallbacks = scan_mod._exceeds, scan_mod._alphas, []
-        monkeypatch.setattr(scan_mod, "_exceeds",
-                            lambda lap, floor: real_exceeds(lap, floor - 2 * SETTLE_MARGIN))
-        monkeypatch.setattr(scan_mod, "_alphas",
-                            lambda n, codes: fallbacks.append(len(codes)) or real_alphas(n, codes))
+        monkeypatch.setattr(scan_mod, "_exceeds", lambda n, codes, floor:
+                            real_exceeds(n, codes, floor - 2 * SETTLE_MARGIN))
+        monkeypatch.setattr(scan_mod, "_alphas", lambda n, codes, jobs=1:
+                            fallbacks.append(len(codes)) or real_alphas(n, codes, jobs))
         golden = Path(__file__).parent / "golden"
         assert cli.main(["--format", "json", "scan", "min", "7", "3"]) == 0
         assert capsys.readouterr().out.encode() == (golden / "min_7_3.json").read_bytes()
@@ -806,9 +882,9 @@ class TestSeededDefects:
         from pathlib import Path
 
         real_degree, real_alphas, fallbacks = scan_mod._min_degree, scan_mod._alphas, []
-        monkeypatch.setattr(scan_mod, "_min_degree", lambda lap: real_degree(lap) - 1)
-        monkeypatch.setattr(scan_mod, "_alphas",
-                            lambda n, codes: fallbacks.append(len(codes)) or real_alphas(n, codes))
+        monkeypatch.setattr(scan_mod, "_min_degree", lambda n, codes: real_degree(n, codes) - 1)
+        monkeypatch.setattr(scan_mod, "_alphas", lambda n, codes, jobs=1:
+                            fallbacks.append(len(codes)) or real_alphas(n, codes, jobs))
         assert cli.main(["--format", "json", "scan", "max", "7", "3"]) == 0
         golden = Path(__file__).parent / "golden" / "max_7_3.json"
         assert capsys.readouterr().out.encode() == golden.read_bytes()
